@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .cube import DC, Cube
+from .cube import Cube
 from .errors import ResourceLimitError
 
 TERMINAL_LEVEL = sys.maxsize
@@ -122,8 +122,16 @@ class Manager:
         self._names: list[str] = []
         self._by_name: dict[str, VarId] = {}
         self.max_nodes = max_nodes
-        self.false = Func(self, 0)
-        self.true = Func(self, 1)
+
+    # Handles are made on demand: a Func stored on the manager would point
+    # back at it, and that cycle would outlive the last outside handle.
+    @property
+    def false(self) -> Func:
+        return Func(self, 0)
+
+    @property
+    def true(self) -> Func:
+        return Func(self, 1)
 
     # ---------------------------------------------------------------- vars
 
@@ -337,23 +345,23 @@ class Manager:
         for v in fixed.values():
             if v not in (0, 1):
                 raise ValueError("restriction values must be 0 or 1")
-        memo: dict[int, int] = {}
+        return Func(self, self._restrict(u, fixed, {}))
 
-        def rec(x: int) -> int:
-            if x < 2:
-                return x
-            got = memo.get(x)
-            if got is not None:
-                return got
-            lvl, lo, hi = self._nodes[x]
-            if lvl in fixed:
-                out = rec(hi if fixed[lvl] else lo)
-            else:
-                out = self._mk(lvl, rec(lo), rec(hi))
-            memo[x] = out
-            return out
-
-        return Func(self, rec(u))
+    def _restrict(self, x: int, fixed: dict[int, int], memo: dict[int, int]) -> int:
+        if x < 2:
+            return x
+        got = memo.get(x)
+        if got is not None:
+            return got
+        lvl, lo, hi = self._nodes[x]
+        if lvl in fixed:
+            out = self._restrict(hi if fixed[lvl] else lo, fixed, memo)
+        else:
+            out = self._mk(
+                lvl, self._restrict(lo, fixed, memo), self._restrict(hi, fixed, memo)
+            )
+        memo[x] = out
+        return out
 
     def exists(self, f: Func, variables) -> Func:
         """Existentially quantify the given variables out of f."""
@@ -361,26 +369,52 @@ class Manager:
         levels = frozenset(self._resolve(v).level for v in variables)
         if not levels:
             return f
-        top_gone = max(levels)
-        memo: dict[int, int] = {}
+        return Func(self, self._exists(u, levels, max(levels), {}))
 
-        def rec(x: int) -> int:
-            if x < 2:
-                return x
-            lvl, lo, hi = self._nodes[x]
-            if lvl > top_gone:
-                return x
-            got = memo.get(x)
-            if got is not None:
-                return got
-            if lvl in levels:
-                out = self._apply("or", rec(lo), rec(hi))
+    def _exists(
+        self, x: int, levels: frozenset[int], top_gone: int, memo: dict[int, int]
+    ) -> int:
+        if x < 2:
+            return x
+        lvl, lo, hi = self._nodes[x]
+        if lvl > top_gone:
+            return x
+        got = memo.get(x)
+        if got is not None:
+            return got
+        lo = self._exists(lo, levels, top_gone, memo)
+        hi = self._exists(hi, levels, top_gone, memo)
+        if lvl in levels:
+            out = self._apply("or", lo, hi)
+        else:
+            out = self._mk(lvl, lo, hi)
+        memo[x] = out
+        return out
+
+    def from_cube(self, cube: Cube, xs: Optional[list[VarId]] = None) -> Func:
+        """Conjunction of a cube's literals; the inverse of enumerate_paths.
+
+        Position i stands for xs[i] (default: the manager's i-th variable).
+        The chain is built bottom-up straight from the cube's masks, so xs
+        must ascend in level.
+        """
+        n = len(cube)
+        if xs is not None and len(xs) != n:
+            raise ValueError("need %d variables, got %d" % (n, len(xs)))
+        node, below = 1, len(self._vars)
+        care, value = cube.care, cube.value
+        while care:
+            pos = care.bit_length() - 1
+            level = pos if xs is None else xs[pos].level
+            if level >= below:
+                raise ValueError("cube variables must ascend within the manager")
+            if (value >> pos) & 1:
+                node = self._mk(level, 0, node)
             else:
-                out = self._mk(lvl, rec(lo), rec(hi))
-            memo[x] = out
-            return out
-
-        return Func(self, rec(u))
+                node = self._mk(level, node, 0)
+            below = level
+            care ^= 1 << pos
+        return Func(self, node)
 
     def cube(self, literals: dict) -> Func:
         """Conjunction of single-variable literals, built without apply.
@@ -417,22 +451,26 @@ class Manager:
         targets = [t for _, t in items]
         if targets != sorted(targets):
             raise ValueError("transfer map must preserve relative order")
-        memo: dict[int, int] = {}
+        return Func(self, self._transfer(src._nodes, src._check(f), mapping, {}))
 
-        def rec(x: int) -> int:
-            if x < 2:
-                return x
-            got = memo.get(x)
-            if got is not None:
-                return got
-            lvl, lo, hi = src._nodes[x]
-            if lvl not in mapping:
-                raise ValueError("support variable at level %d is unmapped" % lvl)
-            out = self._mk(mapping[lvl], rec(lo), rec(hi))
-            memo[x] = out
-            return out
-
-        return Func(self, rec(src._check(f)))
+    def _transfer(
+        self, nodes: list, x: int, mapping: dict[int, int], memo: dict[int, int]
+    ) -> int:
+        if x < 2:
+            return x
+        got = memo.get(x)
+        if got is not None:
+            return got
+        lvl, lo, hi = nodes[x]
+        if lvl not in mapping:
+            raise ValueError("support variable at level %d is unmapped" % lvl)
+        out = self._mk(
+            mapping[lvl],
+            self._transfer(nodes, lo, mapping, memo),
+            self._transfer(nodes, hi, mapping, memo),
+        )
+        memo[x] = out
+        return out
 
     # ------------------------------------------------------------ analysis
 
@@ -521,26 +559,26 @@ class Manager:
         mask = self._support_mask(u)
         if n < 0 or (mask >> n) != 0:
             raise ValueError("f has support beyond the first %d variables" % n)
-        scratch = [DC] * n
+        return self._paths(u, n)
 
-        def walk(x: int) -> Iterator[Cube]:
+    def _paths(self, u: int, n: int) -> Iterator[Cube]:
+        # depth first, low branch first; each entry carries its path's masks
+        stack = [(u, 0, 0)]
+        while stack:
+            x, care, value = stack.pop()
             if x == 1:
-                yield Cube(scratch)
-                return
-            if x == 0:
-                return
-            lvl, lo, hi = self._nodes[x]
-            scratch[lvl] = 0
-            yield from walk(lo)
-            scratch[lvl] = 1
-            yield from walk(hi)
-            scratch[lvl] = DC
-
-        return walk(u)
+                yield Cube.from_masks(n, care, value)
+            elif x:
+                lvl, lo, hi = self._nodes[x]
+                bit = 1 << lvl
+                stack.append((hi, care | bit, value | bit))
+                stack.append((lo, care | bit, value))
 
     def dag_size(self, f: Func) -> int:
         """Reachable node count, terminals included."""
-        u = self._check(f)
+        return len(self._reachable(self._check(f)))
+
+    def _reachable(self, u: int) -> set[int]:
         seen = set()
         stack = [u]
         while stack:
@@ -552,27 +590,13 @@ class Manager:
                 _, lo, hi = self._nodes[x]
                 stack.append(lo)
                 stack.append(hi)
-        return len(seen)
+        return seen
 
     # ----------------------------------------------------------------- dot
 
     def to_dot(self, f: Func, name: str = "bdd") -> str:
         """GraphViz text: dashed low edges, solid high edges."""
-        u = self._check(f)
-        order: list[int] = []
-        seen = set()
-
-        def visit(x: int):
-            if x in seen:
-                return
-            seen.add(x)
-            if x >= 2:
-                _, lo, hi = self._nodes[x]
-                visit(lo)
-                visit(hi)
-            order.append(x)
-
-        visit(u)
+        seen = self._reachable(self._check(f))
         lines = ["digraph %s {" % name, "  rankdir=TB;"]
         per_level: dict[int, list[int]] = {}
         for x in sorted(seen):

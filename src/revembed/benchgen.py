@@ -5,7 +5,7 @@ creation time, which is part of each family's definition.
 """
 from __future__ import annotations
 
-from .bdd import Func, Manager, or_all
+from .bdd import Func, Manager, VarId, or_all
 
 
 def redundancy(p: int, q: int) -> Func:
@@ -45,23 +45,29 @@ def restricted_growth(p: int) -> Func:
     for j in range(1, p + 1):
         bits.append([manager.add_var("a%d_%d" % (j, v)) for v in range(j)])
 
-    memo: dict[tuple[int, int], Func] = {}
+    return _rgs_suffix(manager, bits, {}, 1, -1)
 
-    def suffix(j: int, running_max: int) -> Func:
-        # all valid completions of positions j..p given max(a_1..a_{j-1})
-        if j > p:
-            return manager.true
-        key = (j, running_max)
-        got = memo.get(key)
-        if got is None:
-            terms = []
-            for v in range(min(running_max + 1, j - 1) + 1):
-                onehot = manager.cube(
-                    {bits[j - 1][w]: 1 if w == v else 0 for w in range(j)}
-                )
-                terms.append(onehot & suffix(j + 1, max(running_max, v)))
-            got = or_all(terms, manager)
-            memo[key] = got
-        return got
 
-    return suffix(1, -1)
+def _rgs_suffix(
+    manager: Manager,
+    bits: list[list[VarId]],
+    memo: dict[tuple[int, int], Func],
+    j: int,
+    running_max: int,
+) -> Func:
+    """All valid completions of positions j..p given max(a_1..a_{j-1})."""
+    if j > len(bits):
+        return manager.true
+    key = (j, running_max)
+    got = memo.get(key)
+    if got is None:
+        terms = []
+        for v in range(min(running_max + 1, j - 1) + 1):
+            onehot = manager.cube(
+                {bits[j - 1][w]: 1 if w == v else 0 for w in range(j)}
+            )
+            rest = _rgs_suffix(manager, bits, memo, j + 1, max(running_max, v))
+            terms.append(onehot & rest)
+        got = or_all(terms, manager)
+        memo[key] = got
+    return got

@@ -267,14 +267,8 @@ def complete_offset(pla: Pla) -> Pla:
     (one per BDD path), so a later embedding specifies the whole domain.
     Idempotent; points already carried by zero-output rows stay untouched."""
     manager = Manager()
-    xs = [manager.add_var("x%d" % (i + 1)) for i in range(pla.n)]
-    covered = or_all(
-        [
-            manager.cube({xs[pos]: bit for pos, bit in cube.literals()})
-            for cube, _ in pla.entries
-        ],
-        manager,
-    )
+    manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
+    covered = or_all([manager.from_cube(cube) for cube, _ in pla.entries], manager)
     entries = list(pla.entries)
     for cube in manager.enumerate_paths(~covered, pla.n):
         entries.append((cube, frozenset()))

@@ -142,27 +142,24 @@ def exact_mu_bdd(
     chi = characteristic(funcs, manager, ys)
 
     per: dict[frozenset[int], int] = {}
-    seen = 0
-    # walk assignments of the y levels; levels a pattern skips fork both ways
-    def walk(node: Func, i: int, outs: tuple[int, ...]):
-        nonlocal seen
+    # walk assignments of the y levels depth first, low branch first; each
+    # path names one pattern, and levels a pattern skips fork both ways
+    stack: list[tuple[Func, int, tuple[int, ...]]] = [(chi, 0, ())]
+    while stack:
+        node, i, outs = stack.pop()
         if node.is_false:
-            return
+            continue
         if i == m:
-            seen += 1
-            if seen > pattern_cap:
+            if len(per) == pattern_cap:
                 raise ResourceLimitError(
                     "more than %d output patterns enumerated" % pattern_cap
                 )
             per[frozenset(outs)] = manager.sat_count(node, n)
-            return
+            continue
         if manager.node_level(node) == i:
             lo, hi = manager.node_branches(node)
-            walk(lo, i + 1, outs)
-            walk(hi, i + 1, outs + (i + 1,))
         else:
-            walk(node, i + 1, outs)
-            walk(node, i + 1, outs + (i + 1,))
-
-    walk(chi, 0, ())
+            lo = hi = node
+        stack.append((hi, i + 1, outs + (i + 1,)))
+        stack.append((lo, i + 1, outs))
     return _finish(METHOD_EXACT_BDD, True, per, m)

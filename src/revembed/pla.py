@@ -160,10 +160,7 @@ def to_functions(
         xs = manager.vars[: pla.n]
     if len(xs) != pla.n:
         raise ValueError("need %d input variables, got %d" % (pla.n, len(xs)))
-    cube_funcs = [
-        manager.cube({xs[pos]: bit for pos, bit in cube.literals()})
-        for cube, _ in pla.entries
-    ]
+    cube_funcs = [manager.from_cube(cube, xs) for cube, _ in pla.entries]
     out = []
     for i in range(1, pla.m + 1):
         terms = [cf for cf, (_, outs) in zip(cube_funcs, pla.entries) if i in outs]

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
-from revembed import Cube, DC, Pla
+from revembed import Cube, DC, Pla, cube_and, cube_sharp
 
 
 def cube_points(cube: Cube) -> set[int]:
@@ -39,6 +40,38 @@ def random_pla(rng: random.Random, n: int, m: int, max_cubes: int) -> Pla:
         outs = frozenset(j + 1 for j in range(m) if rng.random() < 0.4)
         entries.append((Cube(bits), outs))
     return Pla(n, m, entries)
+
+
+def reference_dsop(pla: Pla) -> Pla:
+    """The disjoint rewrite by a plain scan for the first overlap.
+
+    Each incoming cube is tested against every resident cube in list
+    order; dsop() must produce exactly this cube list.
+    """
+    queue = deque(pla.entries)
+    acc = []
+    while queue:
+        cube, outs = queue.popleft()
+        for idx, (rcube, routs) in enumerate(acc):
+            meet = cube_and(cube, rcube)
+            if meet is not None:
+                break
+        else:
+            acc.append((cube, outs))
+            continue
+        acc[idx] = (meet, outs | routs)
+        for piece in cube_sharp(rcube, cube):
+            acc.append((piece, routs))
+        for piece in reversed(cube_sharp(cube, rcube)):
+            queue.appendleft((piece, outs))
+    return Pla(
+        pla.n,
+        pla.m,
+        acc,
+        input_names=pla.input_names,
+        output_names=pla.output_names,
+        dsop_certified=True,
+    )
 
 
 def hand_built_chi(rc, pla):

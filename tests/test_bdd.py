@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revembed import Func, Manager, ResourceLimitError, and_all, or_all
+from revembed import Cube, Func, Manager, ResourceLimitError, and_all, or_all
 
 
 @pytest.fixture
@@ -121,6 +121,29 @@ class TestSemantics:
         assert mgr.eval(f, {"a": 1, "b": 0, "c": 0, "d": 1}) == 1
         assert mgr.eval(f, {"a": 1, "b": 0, "c": 1, "d": 1}) == 0
         assert mgr.sat_count(f, 4) == 4
+
+    def test_from_cube_matches_literal_cube(self, mgr):
+        c = Cube.parse("1-0-")
+        assert mgr.from_cube(c) == mgr.cube({"a": 1, "c": 0})
+        assert mgr.from_cube(Cube.parse("----")).is_true
+        b, d = mgr.vars[1], mgr.vars[3]
+        assert mgr.from_cube(Cube.parse("01"), [b, d]) == mgr.cube({"b": 0, "d": 1})
+
+    def test_from_cube_inverts_enumerate_paths(self, mgr):
+        a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
+        f = (a & b) | (~a & c)
+        paths = list(mgr.enumerate_paths(f, 4))
+        assert or_all([mgr.from_cube(p) for p in paths], mgr) == f
+        assert [str(p) for p in paths] == ["0-1-", "11--"]
+
+    def test_from_cube_rejects_bad_variables(self, mgr):
+        a, b = mgr.vars[:2]
+        with pytest.raises(ValueError):
+            mgr.from_cube(Cube.parse("11"), [b, a])  # descending levels
+        with pytest.raises(ValueError):
+            mgr.from_cube(Cube.parse("1"), [a, b])  # wrong count
+        with pytest.raises(ValueError):
+            mgr.from_cube(Cube.parse("----1"))  # more positions than variables
 
     def test_support(self, mgr):
         a, c = mgr.var("a"), mgr.var("c")

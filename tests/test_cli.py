@@ -1,7 +1,9 @@
+import gc
 import json
 import subprocess
 import sys
 import time
+import weakref
 
 import jsonschema
 import pytest
@@ -218,3 +220,36 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("# dsop")
+
+
+class TestManagerLifetime:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["embed", "--exact", RUNNING, "--verify"],
+            ["embed", "--bennett", RUNNING, "--verify"],
+            ["dsop", RUNNING, "--compact"],
+            ["lines", RUNNING, "--method", "exact-bdd"],
+            ["gen", "rgs", "10", "--embed"],
+        ],
+    )
+    def test_managers_freed_without_cycle_collector(self, capsys, monkeypatch, argv):
+        # reference counting alone must free every manager a command made
+        made = []
+        init = revembed.Manager.__init__
+
+        def recording_init(manager, *args, **kwargs):
+            init(manager, *args, **kwargs)
+            made.append(weakref.ref(manager))
+
+        monkeypatch.setattr(revembed.Manager, "__init__", recording_init)
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, _ = run(capsys, *argv)
+            alive = sum(ref() is not None for ref in made)
+        finally:
+            gc.enable()
+        assert code == 0
+        assert made
+        assert alive == 0

@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revembed import (
+    DC,
     Cube,
     Pla,
     brute_dsop_check,
@@ -11,9 +13,10 @@ from revembed import (
     dsop,
     parse_pla,
     post_compact,
+    write_pla,
 )
 
-from helpers import random_pla
+from helpers import random_pla, reference_dsop
 
 
 def entry_set(pla):
@@ -132,3 +135,34 @@ class TestProperties:
         d = dsop(pla)
         total = sum(c.on_size() for c, _ in d.entries)
         assert total == 6
+
+
+class TestAgainstReference:
+    """The indexed first-overlap search must reproduce the plain scan."""
+
+    @staticmethod
+    def assert_same(pla):
+        want = reference_dsop(pla)
+        got = dsop(pla)
+        assert write_pla(got) == write_pla(want)
+        assert write_pla(post_compact(got)) == write_pla(post_compact(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        n=st.integers(min_value=1, max_value=10),
+        m=st.integers(min_value=1, max_value=4),
+        max_cubes=st.integers(min_value=1, max_value=14),
+    )
+    def test_random_small_covers(self, seed, n, m, max_cubes):
+        self.assert_same(random_pla(random.Random(seed), n, m, max_cubes))
+
+    @pytest.mark.parametrize("n,cubes,seed", [(12, 24, 1), (13, 22, 2), (14, 20, 3)])
+    def test_seeded_wide_covers(self, n, cubes, seed):
+        rng = random.Random(seed)
+        entries = []
+        for _ in range(cubes):
+            bits = [rng.choice((0, 1, DC, DC, DC)) for _ in range(n)]
+            outs = frozenset(j + 1 for j in range(6) if rng.random() < 0.4)
+            entries.append((Cube(bits), outs))
+        self.assert_same(Pla(n, 6, entries))
