@@ -6,6 +6,14 @@ the same node id (Bryant 1986). No complement edges. The variable order is
 fixed at variable-creation time; algorithms that need a special order create
 their variables in that order on a fresh manager.
 
+Every Boolean combinator is one memoised if-then-else recursion, as in
+Brace, Rudell & Bryant, "Efficient implementation of a BDD package" (DAC
+1990): and is ite(f, g, 0), or is ite(f, 1, g), not is ite(f, 0, 1), xor is
+ite(f, not g, g) and xnor is ite(f, g, not g). Before the computed table is
+consulted, each call is put into a standard triple -- ite(f, f, h) becomes
+ite(f, 1, h), ite(f, g, f) becomes ite(f, g, 0), and the operands of and/or
+are ordered -- so equivalent calls share one entry.
+
 Counting helpers use Python integers throughout, so satisfying-assignment
 counts stay exact at thousands of variables. Managers are not thread-safe;
 confine each manager to one thread.
@@ -21,19 +29,16 @@ from .errors import ResourceLimitError
 
 TERMINAL_LEVEL = sys.maxsize
 
-_OPS = ("and", "or", "xor", "xnor")
-
 
 @dataclass(frozen=True)
 class VarId:
-    """Handle for one manager variable.
+    """Handle for one manager variable: its level, the position in the
+    variable order, which this manager assigns in creation order.
 
-    index identifies the variable; level is its position in the global
-    order. This manager assigns levels in creation order, so the two
-    coincide, but callers should treat them as distinct concepts.
+    A distinct type, so that methods taking a variable can tell a handle
+    from a plain int index.
     """
 
-    index: int
     level: int
 
 
@@ -102,7 +107,7 @@ class Func:
 
 
 class Manager:
-    """Shared node store plus combinator caches.
+    """Shared node store plus the computed table of the ITE core.
 
     max_nodes, when given, bounds the unique table; exceeding it raises
     ResourceLimitError and leaves the manager usable.
@@ -115,7 +120,7 @@ class Manager:
             (TERMINAL_LEVEL, -1, -1),
         ]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._memo: dict[tuple, int] = {}
+        self._memo: dict[tuple[int, int, int], int] = {}
         self._count: dict[int, tuple[int, int]] = {0: (0, 0), 1: (1, 0)}
         self._supp: dict[int, int] = {0: 0, 1: 0}
         self._vars: list[VarId] = []
@@ -137,7 +142,7 @@ class Manager:
 
     def add_var(self, name: Optional[str] = None) -> VarId:
         level = len(self._vars)
-        vid = VarId(index=level, level=level)
+        vid = VarId(level)
         if name is None:
             name = "v%d" % level
         if name in self._by_name:
@@ -226,76 +231,23 @@ class Manager:
     # --------------------------------------------------------- combinators
 
     def apply(self, op: str, f: Func, g: Func) -> Func:
-        op = op.lower()
-        if op not in _OPS:
-            raise ValueError("unknown operator %r" % op)
+        """f op g for op in and, or, xor, xnor."""
         u, v = self._check(f), self._check(g)
-        return Func(self, self._apply(op, u, v))
-
-    def _apply(self, op: str, u: int, v: int) -> int:
+        op = op.lower()
         if op == "and":
-            if u == 0 or v == 0:
-                return 0
-            if u == 1:
-                return v
-            if v == 1 or u == v:
-                return u
+            out = self._ite(u, v, 0)
         elif op == "or":
-            if u == 1 or v == 1:
-                return 1
-            if u == 0:
-                return v
-            if v == 0 or u == v:
-                return u
+            out = self._ite(u, 1, v)
         elif op == "xor":
-            if u == v:
-                return 0
-            if u == 0:
-                return v
-            if v == 0:
-                return u
-            if u == 1:
-                return self._neg(v)
-            if v == 1:
-                return self._neg(u)
-        else:  # xnor
-            if u == v:
-                return 1
-            if u == 1:
-                return v
-            if v == 1:
-                return u
-            if u == 0:
-                return self._neg(v)
-            if v == 0:
-                return self._neg(u)
-        if u > v:  # all four ops commute
-            u, v = v, u
-        key = (op, u, v)
-        out = self._memo.get(key)
-        if out is None:
-            lu, lou, hiu = self._nodes[u]
-            lv, lov, hiv = self._nodes[v]
-            top = lu if lu < lv else lv
-            u0, u1 = (lou, hiu) if lu == top else (u, u)
-            v0, v1 = (lov, hiv) if lv == top else (v, v)
-            out = self._mk(top, self._apply(op, u0, v0), self._apply(op, u1, v1))
-            self._memo[key] = out
-        return out
+            out = self._ite(u, self._ite(v, 0, 1), v)
+        elif op == "xnor":
+            out = self._ite(u, v, self._ite(v, 0, 1))
+        else:
+            raise ValueError("unknown operator %r" % op)
+        return Func(self, out)
 
     def negate(self, f: Func) -> Func:
-        return Func(self, self._neg(self._check(f)))
-
-    def _neg(self, u: int) -> int:
-        if u < 2:
-            return 1 - u
-        key = ("not", u)
-        out = self._memo.get(key)
-        if out is None:
-            lvl, lo, hi = self._nodes[u]
-            out = self._mk(lvl, self._neg(lo), self._neg(hi))
-            self._memo[key] = out
-        return out
+        return Func(self, self._ite(self._check(f), 0, 1))
 
     def ite(self, f: Func, g: Func, h: Func) -> Func:
         u = self._check(f)
@@ -308,28 +260,37 @@ class Manager:
             return v
         if u == 0:
             return w
+        # standard triples: an operand equal to the condition is a constant
+        if v == u:
+            v = 1
+        if w == u:
+            w = 0
         if v == w:
             return v
-        if v == 1 and w == 0:
-            return u
-        if v == 0 and w == 1:
-            return self._neg(u)
-        key = ("ite", u, v, w)
+        if v == 1:
+            if w == 0:
+                return u
+            if w < u:  # or commutes
+                u, w = w, u
+        elif w == 0 and v < u:  # and commutes
+            u, v = v, u
+        key = (u, v, w)
         out = self._memo.get(key)
         if out is None:
-            top = min(self._nodes[u][0], self._nodes[v][0], self._nodes[w][0])
-
-            def cof(x: int, branch: int) -> int:
-                lvl, lo, hi = self._nodes[x]
-                if lvl == top:
-                    return hi if branch else lo
-                return x
-
-            out = self._mk(
-                top,
-                self._ite(cof(u, 0), cof(v, 0), cof(w, 0)),
-                self._ite(cof(u, 1), cof(v, 1), cof(w, 1)),
-            )
+            nodes = self._nodes
+            lu, u0, u1 = nodes[u]
+            lv, v0, v1 = nodes[v]
+            lw, w0, w1 = nodes[w]
+            top = lu if lu < lv else lv
+            if lw < top:
+                top = lw
+            if lu != top:
+                u0 = u1 = u
+            if lv != top:
+                v0 = v1 = v
+            if lw != top:
+                w0 = w1 = w
+            out = self._mk(top, self._ite(u0, v0, w0), self._ite(u1, v1, w1))
             self._memo[key] = out
         return out
 
@@ -385,7 +346,7 @@ class Manager:
         lo = self._exists(lo, levels, top_gone, memo)
         hi = self._exists(hi, levels, top_gone, memo)
         if lvl in levels:
-            out = self._apply("or", lo, hi)
+            out = self._ite(lo, 1, hi)
         else:
             out = self._mk(lvl, lo, hi)
         memo[x] = out

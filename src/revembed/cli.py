@@ -24,22 +24,24 @@ from .embedding import (
     verify,
 )
 from .errors import PlaError, ResourceLimitError
-from .linecount import (
-    METHOD_BRUTE,
-    METHOD_EXACT_BDD,
-    METHOD_EXACT_CUBE,
-    METHOD_HEURISTIC_CUBE,
-    exact_mu_bdd,
-    exact_mu_cube,
-    heuristic_mu,
-    upper_bound_total,
-)
+from .linecount import exact_mu_bdd, exact_mu_cube, heuristic_mu, upper_bound_total
+from .oracle import brute_mu
 from .pla import parse_pla, write_pla
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
+
+
+# `lines --method` names; each entry looks its function up when called, so
+# rebinding a module-level name (a test's monkeypatch, a tracer) is seen
+LINE_METHODS = {
+    "heuristic": lambda pla: heuristic_mu(pla),
+    "exact-cube": lambda pla: exact_mu_cube(pla),
+    "exact-bdd": lambda pla: exact_mu_bdd(pla),
+    "brute": lambda pla: brute_mu(pla),
+}
 
 
 class _UsageError(Exception):
@@ -67,16 +69,7 @@ def _build_parser() -> _Parser:
 
     p_lines = sub.add_parser("lines", help="garbage-line counts for a PLA")
     p_lines.add_argument("file")
-    p_lines.add_argument(
-        "--method",
-        choices=[
-            "heuristic",
-            "exact-cube",
-            "exact-bdd",
-            "brute",
-        ],
-        default="heuristic",
-    )
+    p_lines.add_argument("--method", choices=list(LINE_METHODS), default="heuristic")
 
     p_dsop = sub.add_parser("dsop", help="rewrite a PLA into disjoint cubes")
     p_dsop.add_argument("file")
@@ -147,19 +140,25 @@ def _emit(text: str, output):
         sys.stdout.write(text)
 
 
-def _cmd_lines(args) -> int:
-    pla = _read_pla(args.file)
-    if args.method == "heuristic":
-        report = heuristic_mu(pla)
-    elif args.method == "exact-cube":
-        report = exact_mu_cube(pla)
-    elif args.method == "exact-bdd":
-        report = exact_mu_bdd(pla)
-    else:
-        from .oracle import brute_mu
+def _emit_json(build, output=None):
+    """Write build()'s payload as JSON.
 
-        report = brute_mu(pla)
-    print(json.dumps(report.to_dict(), indent=2))
+    Counts grow like 2**n, past the 4300 digits Python converts between int
+    and str by default, so that cap is lifted while the payload is built
+    and written, and restored afterwards.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(build(), indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    _emit(text, output)
+
+
+def _cmd_lines(args) -> int:
+    report = LINE_METHODS[args.method](_read_pla(args.file))
+    _emit_json(report.to_dict)
     return EXIT_OK
 
 
@@ -192,7 +191,7 @@ def _cmd_embed(args) -> int:
     else:
         payload = {"mode": mode, **rcbdd.summary()}
         payload["verify"] = report.to_dict() if report else None
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit_json(lambda: payload, args.output)
 
     if report is not None:
         needed = [report.injective, report.functional, report.projects]
@@ -216,19 +215,10 @@ def _cmd_gen(args) -> int:
     if args.format == "dot":
         sys.stdout.write(manager.to_dot(func, name=args.family))
         return EXIT_OK
-    payload.update(
-        {
-            "n": n,
-            "node_count": func.dag_size(),
-            "sat_count": str(manager.sat_count(func, n)),
-        }
-    )
-    if args.embed:
-        rcbdd = embed_bennett([func], n=n)
-        payload["embed"] = rcbdd.summary()
-    else:
-        payload["embed"] = None
-    print(json.dumps(payload, indent=2))
+    count = manager.sat_count(func, n)
+    payload.update({"n": n, "node_count": func.dag_size()})
+    embed = embed_bennett([func], n=n).summary() if args.embed else None
+    _emit_json(lambda: {**payload, "sat_count": str(count), "embed": embed})
     return EXIT_OK
 
 
@@ -236,37 +226,38 @@ def _cmd_bench(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         raise _UsageError("%s is not a directory" % directory)
-    results = []
+    measured = []
     for path in sorted(directory.glob("*.pla")):
         pla = parse_pla(path.read_text())
-        t0 = time.monotonic()
-        heur = heuristic_mu(pla)
-        t1 = time.monotonic()
-        exact = exact_mu_bdd(pla)
-        t2 = time.monotonic()
-        results.append(
-            {
-                "file": path.name,
-                "n": pla.n,
-                "m": pla.m,
-                "cubes": pla.cube_count(),
-                "upper_bound_total": upper_bound_total(pla.n, pla.m),
-                "heuristic": heur.to_dict(),
-                "exact": exact.to_dict(),
-                "seconds": {
-                    "heuristic": round(t1 - t0, 6),
-                    "exact": round(t2 - t1, 6),
-                },
-            }
-        )
-    payload = {"results": results}
+        reports, seconds = {}, {}
+        for key, method in (("heuristic", "heuristic"), ("exact", "exact-bdd")):
+            t0 = time.monotonic()
+            reports[key] = LINE_METHODS[method](pla)
+            seconds[key] = round(time.monotonic() - t0, 6)
+        measured.append((path.name, pla, reports, seconds))
     if args.ordering_study:
-        payload["ordering_study"] = ordering_comparison(
+        study = ordering_comparison(
             lines=args.ordering_study, samples=args.samples, seed=args.seed
         )
     else:
-        payload["ordering_study"] = None
-    print(json.dumps(payload, indent=2))
+        study = None
+
+    def payload():
+        results = [
+            {
+                "file": name,
+                "n": p.n,
+                "m": p.m,
+                "cubes": p.cube_count(),
+                "upper_bound_total": upper_bound_total(p.n, p.m),
+                **{key: report.to_dict() for key, report in by_key.items()},
+                "seconds": secs,
+            }
+            for name, p, by_key, secs in measured
+        ]
+        return {"results": results, "ordering_study": study}
+
+    _emit_json(payload)
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from .bdd import Func, Manager, VarId, and_all, or_all
 from .cube import DC
 from .errors import ResourceLimitError
 from .linecount import heuristic_mu
-from .pla import Pla, characteristic, to_functions
+from .pla import Pla, characteristic, function_source
 
 ROLE_CONSTANT = "constant"
 ROLE_INPUT = "input"
@@ -225,19 +225,9 @@ def embed_bennett(
     """Total embedding that copies inputs through: for each output,
     y_i = kappa_i xor f_i(x); every input survives as garbage gamma_j = x_j.
     Always reversible, at the generic n + m lines."""
-    if isinstance(source, Pla):
-        n = source.n
-        m = source.m
-    else:
-        m = len(source)
-        if n is None:
-            n = max((v.level + 1 for f in source for v in f.support()), default=0)
+    n, m, place = function_source(source, n)
     manager, kappa, xs, ys, gammas = _embedding_manager(m, m, n, n)
-    if isinstance(source, Pla):
-        funcs = to_functions(source, manager, xs)
-    else:
-        var_map = {i: xs[i] for i in range(n)}
-        funcs = [manager.transfer(f, var_map) for f in source]
+    funcs = place(manager, xs)
     terms = [
         manager.var(y).xnor(manager.var(k) ^ f)
         for y, k, f in zip(ys, kappa, funcs)
@@ -293,11 +283,8 @@ def verify(rcbdd: RcBdd, source: Union[Pla, list[Func]]) -> VerifyReport:
     projected away, is exactly chi_f restricted to the specified domain.
     """
     manager, chi = rcbdd.manager, rcbdd.chi
-    if isinstance(source, Pla):
-        funcs = to_functions(source, manager, rcbdd.xs)
-    else:
-        var_map = {i: rcbdd.xs[i] for i in range(rcbdd.n)}
-        funcs = [manager.transfer(f, var_map) for f in source]
+    _, _, place = function_source(source, rcbdd.n)
+    funcs = place(manager, rcbdd.xs)
     in_vars = rcbdd.kappa + rcbdd.xs
     out_vars = rcbdd.ys + rcbdd.gammas
     r = rcbdd.r

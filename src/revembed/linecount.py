@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .bdd import Func, Manager, or_all
 from .dsop import dsop
 from .errors import ResourceLimitError
-from .pla import Pla, characteristic, off_set, to_functions
+from .pla import Pla, characteristic, function_source, off_set, to_functions
 
 METHOD_HEURISTIC_CUBE = "heuristic-cube"
 METHOD_EXACT_CUBE = "exact-cube"
@@ -121,24 +121,11 @@ def exact_mu_bdd(
     one output pattern; the pattern's count is the satisfying-assignment
     count of the x-level residue below it.
     """
+    n, m, place = function_source(source, n)
     manager = Manager()
-    if isinstance(source, Pla):
-        n = source.n
-        m = source.m
-        ys = [manager.add_var("y%d" % (i + 1)) for i in range(m)]
-        xs = [manager.add_var("x%d" % (i + 1)) for i in range(n)]
-        funcs = to_functions(source, manager, xs)
-    else:
-        if n is None:
-            n = max(
-                (v.level + 1 for f in source for v in f.support()),
-                default=0,
-            )
-        m = len(source)
-        ys = [manager.add_var("y%d" % (i + 1)) for i in range(m)]
-        xs = [manager.add_var("x%d" % (i + 1)) for i in range(n)]
-        var_map = {i: xs[i] for i in range(n)}
-        funcs = [manager.transfer(f, var_map) for f in source]
+    ys = [manager.add_var("y%d" % (i + 1)) for i in range(m)]
+    xs = [manager.add_var("x%d" % (i + 1)) for i in range(n)]
+    funcs = place(manager, xs)
     chi = characteristic(funcs, manager, ys)
 
     per: dict[frozenset[int], int] = {}

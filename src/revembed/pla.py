@@ -9,7 +9,7 @@ written so rewriting algorithms stay trace-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from .bdd import Func, Manager, VarId, and_all, or_all
 from .cube import Cube
@@ -166,6 +166,27 @@ def to_functions(
         terms = [cf for cf, (_, outs) in zip(cube_funcs, pla.entries) if i in outs]
         out.append(or_all(terms, manager))
     return out
+
+
+def function_source(
+    source: Union[Pla, list[Func]], n: Optional[int] = None
+) -> tuple[int, int, Callable[[Manager, list[VarId]], list[Func]]]:
+    """(n, m, place) for a Pla, or for Funcs over their manager's first n
+    variables (n inferred from the support when not given).
+
+    place(manager, xs) builds the m functions on manager with input column
+    i on xs[i]: by to_functions for a Pla, by transfer for Funcs.
+    """
+    if isinstance(source, Pla):
+        return source.n, source.m, lambda manager, xs: to_functions(source, manager, xs)
+    if n is None:
+        n = max((v.level + 1 for f in source for v in f.support()), default=0)
+
+    def place(manager: Manager, xs: list[VarId]) -> list[Func]:
+        var_map = {i: xs[i] for i in range(n)}
+        return [manager.transfer(f, var_map) for f in source]
+
+    return n, len(source), place
 
 
 def off_set(functions: list[Func], manager: Optional[Manager] = None) -> Func:

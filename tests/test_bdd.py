@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +65,40 @@ class TestStructure:
         dot = mgr.to_dot(f)
         assert dot.startswith("digraph")
         assert "->" in dot
+
+    def test_to_dot_rebuilds_the_function(self, mgr):
+        a, b, c, d = (mgr.var(n) for n in "abcd")
+        funcs = [a ^ b ^ c ^ d, (a & b) | (~c & d), mgr.ite(a, b.xnor(d), c), mgr.true]
+        for f in funcs:
+            assert from_dot(mgr, mgr.to_dot(f)) == f
+
+    def test_commuted_operands_share_a_computed_entry(self, mgr):
+        a, b, c, d = (mgr.var(n) for n in "abcd")
+        f, g = a ^ c, b.xnor(d)
+        for op in ("and", "or"):
+            fg = mgr.apply(op, f, g)
+            entries = len(mgr._memo)
+            assert mgr.apply(op, g, f).node == fg.node
+            assert len(mgr._memo) == entries
+
+
+def from_dot(manager, text):
+    """Rebuild a function from to_dot's text by ite over its nodes' labels."""
+    nodes = re.findall(r'^  (n\d+) \[label="([^"]+)", shape=(\w+)\]', text, re.M)
+    edges = re.findall(r"^  (n\d+) -> (n\d+) \[style=(\w+)\]", text, re.M)
+    child = {(src, style): dst for src, dst, style in edges}
+    # the root is the one node no edge points at
+    (root,) = {name for name, _, _ in nodes} - {dst for _, dst, _ in edges}
+    node_of = {name: (label, shape) for name, label, shape in nodes}
+
+    def rebuild(name):
+        label, shape = node_of[name]
+        if shape == "box":
+            return manager.true if label == "1" else manager.false
+        hi = rebuild(child[name, "solid"])
+        return manager.ite(manager.var(label), hi, rebuild(child[name, "dashed"]))
+
+    return rebuild(root)
 
 
 class TestSemantics:
@@ -230,15 +265,37 @@ class TestTransfer:
 
 
 # random expression trees, checked pointwise against a python evaluator
-def exprs(nvars, depth=4):
+NVARS = 5
+BINARY = {
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "xnor": lambda a, b: 1 - (a ^ b),
+}
+
+
+def exprs(nvars):
     leaves = st.integers(min_value=0, max_value=nvars - 1).map(
         lambda i: ("var", i)
     )
+
+    def ite_repeating(kids):
+        # ite over two subformulas placed in all eight ways, so the standard
+        # triples ite(f, f, h) and ite(f, g, f) and their mixes come up
+        return st.builds(
+            lambda f, g, pick: ("ite",) + tuple((f, g)[i] for i in pick),
+            kids,
+            kids,
+            st.sampled_from(list(itertools.product((0, 1), repeat=3))),
+        )
+
     return st.recursive(
         leaves,
         lambda kids: st.one_of(
             st.tuples(st.just("not"), kids),
-            st.tuples(st.sampled_from(["and", "or", "xor"]), kids, kids),
+            st.tuples(st.sampled_from(sorted(BINARY)), kids, kids),
+            st.tuples(st.just("ite"), kids, kids, kids),
+            ite_repeating(kids),
         ),
         max_leaves=12,
     )
@@ -249,9 +306,11 @@ def build(manager, names, node):
         return manager.var(names[node[1]])
     if node[0] == "not":
         return ~build(manager, names, node[1])
-    op, l, r = node
-    fl, fr = build(manager, names, l), build(manager, names, r)
-    return {"and": fl & fr, "or": fl | fr, "xor": fl ^ fr}[op]
+    kids = [build(manager, names, kid) for kid in node[1:]]
+    if node[0] == "ite":
+        return manager.ite(*kids)
+    fl, fr = kids
+    return {"and": fl & fr, "or": fl | fr, "xor": fl ^ fr, "xnor": fl.xnor(fr)}[node[0]]
 
 
 def py_eval(node, bits):
@@ -259,23 +318,24 @@ def py_eval(node, bits):
         return bits[node[1]]
     if node[0] == "not":
         return 1 - py_eval(node[1], bits)
-    op, l, r = node
-    a, b = py_eval(l, bits), py_eval(r, bits)
-    return {"and": a & b, "or": a | b, "xor": a ^ b}[op]
+    vals = [py_eval(kid, bits) for kid in node[1:]]
+    if node[0] == "ite":
+        return vals[1] if vals[0] else vals[2]
+    return BINARY[node[0]](*vals)
 
 
-@settings(max_examples=60, deadline=None)
-@given(exprs(4))
+@settings(max_examples=150, deadline=None)
+@given(exprs(NVARS))
 def test_random_formulas_match_reference(node):
     manager = Manager()
-    names = manager.add_vars(["x1", "x2", "x3", "x4"])
+    names = manager.add_vars(["x%d" % (i + 1) for i in range(NVARS)])
     f = build(manager, names, node)
     count = 0
-    for bits in all_points(4):
+    for bits in all_points(NVARS):
         want = py_eval(node, bits)
         assert manager.eval(f, list(bits)) == want
         count += want
-    assert manager.sat_count(f, 4) == count
+    assert manager.sat_count(f, NVARS) == count
     # double negation and self-xor sanity on the same structure
     assert ~~f == f
     assert (f ^ f).is_false

@@ -78,6 +78,32 @@ class TestLines:
         assert payload["mu"] == mu
         assert payload["total_lines"] == 7
 
+    @pytest.mark.parametrize(
+        "method,log2_mu", [("heuristic", 15999), ("exact-bdd", 15998)]
+    )
+    def test_counts_beyond_the_int_str_digit_limit(
+        self, capsys, tmp_path, method, log2_mu
+    ):
+        # x1 drives output 1 and x16000 output 2: each of the four patterns
+        # covers 2**15998 points, and each cube alone covers 2**15999
+        n = 16000
+        wide = tmp_path / "wide.pla"
+        wide.write_text(
+            ".i %d\n.o 2\n1%s 10\n%s1 01\n.e\n" % (n, "-" * (n - 1), "-" * (n - 1))
+        )
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "lines", str(wide), "--method", method)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)  # the payload's mu has 4,816 digits
+        try:
+            payload = json.loads(out)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        jsonschema.validate(payload, load_schema("lines.schema.json"))
+        assert payload["mu"] == 1 << log2_mu
+        assert payload["ell"] == log2_mu
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "lines", "/definitely/not/here.pla")
         assert code == 1
