@@ -11,7 +11,7 @@ from __future__ import annotations
 from importlib.resources import files as _files
 from pathlib import Path
 
-from .bdd import Func, Manager, VarId, and_all, func_to_dot, or_all
+from .bdd import Func, Manager, VarId, and_all, or_all
 from .benchgen import redundancy, restricted_growth
 from .cube import DC, Cube, cube_and, cube_sharp
 from .dsop import dsop, post_compact
@@ -77,7 +77,6 @@ __all__ = [
     "embed_exact",
     "exact_mu_bdd",
     "exact_mu_cube",
-    "func_to_dot",
     "heuristic_mu",
     "inc",
     "off_set",

@@ -24,10 +24,13 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .cube import Cube
+from .cube import Cube, bit_positions
 from .errors import ResourceLimitError
 
 TERMINAL_LEVEL = sys.maxsize
+# add_var raises the interpreter's recursion limit with the variable count,
+# up to this cap, which bounds the depth of the recursive walks
+MAX_RECURSION = 40000
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,6 @@ class Func:
 
     def xnor(self, other: "Func") -> "Func":
         return self.manager.apply("xnor", self, other)
-
-    def cofactor(self, var: VarId, value: int) -> "Func":
-        return self.manager.cofactor(self, var, value)
 
     def sat_count(self, support_size: int) -> int:
         return self.manager.sat_count(self, support_size)
@@ -121,8 +121,12 @@ class Manager:
         ]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._memo: dict[tuple[int, int, int], int] = {}
-        self._count: dict[int, tuple[int, int]] = {0: (0, 0), 1: (1, 0)}
-        self._supp: dict[int, int] = {0: 0, 1: 0}
+        # per node: (count over `longest` variables, longest root-to-1 path
+        # length, support as a bitmask of levels)
+        self._analysis: dict[int, tuple[int, int, int]] = {
+            0: (0, 0, 0),
+            1: (1, 0, 0),
+        }
         self._vars: list[VarId] = []
         self._names: list[str] = []
         self._by_name: dict[str, VarId] = {}
@@ -153,7 +157,7 @@ class Manager:
         # deep managers need commensurate recursion headroom
         want = 2000 + 3 * len(self._vars)
         if sys.getrecursionlimit() < want:
-            sys.setrecursionlimit(min(want, 40000))
+            sys.setrecursionlimit(min(want, MAX_RECURSION))
         return vid
 
     def add_vars(self, names: Iterable[str]) -> list[VarId]:
@@ -239,9 +243,9 @@ class Manager:
         elif op == "or":
             out = self._ite(u, 1, v)
         elif op == "xor":
-            out = self._ite(u, self._ite(v, 0, 1), v)
+            out = 0 if u == v else self._ite(u, self._ite(v, 0, 1), v)
         elif op == "xnor":
-            out = self._ite(u, v, self._ite(v, 0, 1))
+            out = 1 if u == v else self._ite(u, v, self._ite(v, 0, 1))
         else:
             raise ValueError("unknown operator %r" % op)
         return Func(self, out)
@@ -295,9 +299,6 @@ class Manager:
         return out
 
     # ------------------------------------------------------- restructuring
-
-    def cofactor(self, f: Func, var, value: int) -> Func:
-        return self.restrict(f, {var: value})
 
     def restrict(self, f: Func, assignment: dict) -> Func:
         """Fix the given variables to constants."""
@@ -382,18 +383,15 @@ class Manager:
 
         literals maps variable handles to 0 (negative) or 1 (positive).
         """
-        pairs = sorted(
-            ((self._resolve(k).level, int(v)) for k, v in literals.items()),
-            reverse=True,
-        )
-        node = 1
-        seen = None
-        for level, bit in pairs:
-            if level == seen:
+        care = value = 0
+        for k, v in literals.items():
+            bit = 1 << self._resolve(k).level
+            if care & bit:
                 raise ValueError("conflicting literals for one variable")
-            seen = level
-            node = self._mk(level, 0, node) if bit else self._mk(level, node, 0)
-        return Func(self, node)
+            care |= bit
+            if int(v):
+                value |= bit
+        return self.from_cube(Cube.from_masks(len(self._vars), care, value))
 
     def transfer(self, f: Func, var_map: dict) -> Func:
         """Rebuild a foreign Func inside this manager.
@@ -435,28 +433,25 @@ class Manager:
 
     # ------------------------------------------------------------ analysis
 
-    def _support_mask(self, u: int) -> int:
-        got = self._supp.get(u)
+    def _analyse(self, u: int) -> tuple[int, int, int]:
+        got = self._analysis.get(u)
         if got is not None:
             return got
         lvl, lo, hi = self._nodes[u]
-        out = (1 << lvl) | self._support_mask(lo) | self._support_mask(hi)
-        self._supp[u] = out
+        clo, llo, slo = self._analyse(lo)
+        chi, lhi, shi = self._analyse(hi)
+        longest = max(llo, lhi) + 1
+        count = (clo << (longest - 1 - llo)) + (chi << (longest - 1 - lhi))
+        out = (count, longest, (1 << lvl) | slo | shi)
+        self._analysis[u] = out
         return out
 
     def support(self, f: Func) -> list[VarId]:
-        mask = self._support_mask(self._check(f))
-        out = []
-        level = 0
-        while mask:
-            if mask & 1:
-                out.append(self._vars[level])
-            mask >>= 1
-            level += 1
-        return out
+        mask = self._analyse(self._check(f))[2]
+        return [self._vars[level] for level in bit_positions(mask)]
 
     def support_size(self, f: Func) -> int:
-        return self._support_mask(self._check(f)).bit_count()
+        return self._analyse(self._check(f))[2].bit_count()
 
     def sat_count(self, f: Func, support_size: int) -> int:
         """Number of satisfying assignments over support_size variables.
@@ -465,28 +460,14 @@ class Manager:
         given size that contains f's support; errors when the window is
         smaller than the support.
         """
-        u = self._check(f)
-        need = self._support_mask(u).bit_count()
+        count, longest, mask = self._analyse(self._check(f))
+        need = mask.bit_count()
         if support_size < need:
             raise ValueError(
                 "support_size %d is smaller than the support (%d variables)"
                 % (support_size, need)
             )
-        count, longest = self._count_pair(u)
         return count << (support_size - longest)
-
-    def _count_pair(self, u: int) -> tuple[int, int]:
-        # (count over `longest` variables, longest root-to-1 path length)
-        got = self._count.get(u)
-        if got is not None:
-            return got
-        _, lo, hi = self._nodes[u]
-        clo, llo = self._count_pair(lo)
-        chi, lhi = self._count_pair(hi)
-        longest = max(llo, lhi) + 1
-        count = (clo << (longest - 1 - llo)) + (chi << (longest - 1 - lhi))
-        self._count[u] = (count, longest)
-        return count, longest
 
     def eval(self, f: Func, assignment) -> int:
         """Pointwise evaluation. assignment is indexed by variable index
@@ -517,7 +498,7 @@ class Manager:
         the first n variables (low branch first). Requires f's support to
         lie within those variables."""
         u = self._check(f)
-        mask = self._support_mask(u)
+        mask = self._analyse(u)[2]
         if n < 0 or (mask >> n) != 0:
             raise ValueError("f has support beyond the first %d variables" % n)
         return self._paths(u, n)
@@ -582,10 +563,6 @@ class Manager:
 
     def __repr__(self) -> str:
         return "<Manager vars=%d nodes=%d>" % (len(self._vars), len(self._nodes))
-
-
-def func_to_dot(f: Func, name: str = "bdd") -> str:
-    return f.manager.to_dot(f, name)
 
 
 def and_all(funcs: list[Func], manager: Optional[Manager] = None) -> Func:

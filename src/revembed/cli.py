@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or input errors, 2 exhausted time/node/row
-budgets, 3 a requested verification failed.
+budgets or an input too wide for the recursive BDD core, 3 a requested
+verification failed.
+
+The --timeout budget is a SIGALRM timer, so main() enforces it only when
+called on the main thread; called from any other thread it runs unbounded.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ import threading
 import time
 from pathlib import Path
 
+from .bdd import MAX_RECURSION
 from .benchgen import redundancy, restricted_growth
 from .dsop import dsop, post_compact
 from .embedding import (
@@ -23,7 +28,7 @@ from .embedding import (
     to_extended_pla,
     verify,
 )
-from .errors import PlaError, ResourceLimitError
+from .errors import ResourceLimitError
 from .linecount import exact_mu_bdd, exact_mu_cube, heuristic_mu, upper_bound_total
 from .oracle import brute_mu
 from .pla import parse_pla, write_pla
@@ -44,7 +49,7 @@ LINE_METHODS = {
 }
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -289,14 +294,16 @@ def main(argv=None) -> int:
             "bench": _cmd_bench,
         }[args.command]
         return handler(args)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except PlaError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except (ResourceLimitError, MemoryError) as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError:
+        print(
+            "resource limit: input too wide: BDD recursion passed its depth cap "
+            "of %d levels (embed --bennett reaches it near 20000 inputs)"
+            % MAX_RECURSION,
+            file=sys.stderr,
+        )
         return EXIT_RESOURCE
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -21,7 +21,6 @@ pattern's region from a BDD, one cube per path.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from .bdd import Manager, or_all
 from .cube import Cube, bit_positions, cube_and, cube_sharp
@@ -85,7 +84,7 @@ def dsop(pla: Pla) -> Pla:
     )
 
 
-def post_compact(pla: Pla, manager: Optional[Manager] = None) -> Pla:
+def post_compact(pla: Pla) -> Pla:
     """Per-pattern cube compaction of a certified disjoint Pla.
 
     Entries are grouped by exact output set, each group's region is OR-ed
@@ -95,10 +94,8 @@ def post_compact(pla: Pla, manager: Optional[Manager] = None) -> Pla:
     """
     if not pla.dsop_certified:
         raise ValueError("post_compact needs a dsop-certified Pla")
-    if manager is None:
-        manager = Manager()
-    while manager.var_count() < pla.n:
-        manager.add_var("x%d" % (manager.var_count() + 1))
+    manager = Manager()
+    manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
     groups: dict[frozenset[int], list[Cube]] = {}
     for cube, outs in pla.entries:
         groups.setdefault(outs, []).append(cube)

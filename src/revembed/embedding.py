@@ -130,31 +130,25 @@ def inc(gammas: list[Func], times: int = 1) -> list[Func]:
     return out
 
 
-def _interleaved_names(first: list[str], second: list[str]) -> list[str]:
-    """first_1, second_1, first_2, second_2, ..., then the leftovers."""
-    out = []
-    k = min(len(first), len(second))
-    for i in range(k):
-        out.append(first[i])
-        out.append(second[i])
-    out.extend(first[k:])
-    out.extend(second[k:])
-    return out
+def _add_interleaved(
+    manager: Manager, first: str, p: int, second: str, q: int
+) -> tuple[list[VarId], list[VarId]]:
+    """Add first1, second1, first2, second2, ..., then the longer group's
+    leftovers; return the two groups' handles."""
+    a: list[VarId] = []
+    b: list[VarId] = []
+    for i in range(max(p, q)):
+        if i < p:
+            a.append(manager.add_var("%s%d" % (first, i + 1)))
+        if i < q:
+            b.append(manager.add_var("%s%d" % (second, i + 1)))
+    return a, b
 
 
 def _embedding_manager(p: int, m: int, n: int, ell: int):
     manager = Manager()
-    names = _interleaved_names(
-        ["k%d" % (i + 1) for i in range(p)], ["y%d" % (i + 1) for i in range(m)]
-    ) + _interleaved_names(
-        ["x%d" % (i + 1) for i in range(n)], ["g%d" % (i + 1) for i in range(ell)]
-    )
-    manager.add_vars(names)
-    by = {manager.name_of(v): v for v in manager.vars}
-    kappa = [by["k%d" % (i + 1)] for i in range(p)]
-    ys = [by["y%d" % (i + 1)] for i in range(m)]
-    xs = [by["x%d" % (i + 1)] for i in range(n)]
-    gammas = [by["g%d" % (i + 1)] for i in range(ell)]
+    kappa, ys = _add_interleaved(manager, "k", p, "y", m)
+    xs, gammas = _add_interleaved(manager, "x", n, "g", ell)
     return manager, kappa, xs, ys, gammas
 
 
@@ -368,17 +362,10 @@ def ordering_comparison(
 def _permutation_chi_size(perm: list[int], k: int, interleaved: bool) -> int:
     manager = Manager()
     if interleaved:
-        names = _interleaved_names(
-            ["i%d" % (j + 1) for j in range(k)], ["o%d" % (j + 1) for j in range(k)]
-        )
+        ins, outs = _add_interleaved(manager, "i", k, "o", k)
     else:
-        names = ["i%d" % (j + 1) for j in range(k)] + [
-            "o%d" % (j + 1) for j in range(k)
-        ]
-    manager.add_vars(names)
-    by = {manager.name_of(v): v for v in manager.vars}
-    ins = [by["i%d" % (j + 1)] for j in range(k)]
-    outs = [by["o%d" % (j + 1)] for j in range(k)]
+        ins = manager.add_vars("i%d" % (j + 1) for j in range(k))
+        outs = manager.add_vars("o%d" % (j + 1) for j in range(k))
     cubes = []
     for a, b in enumerate(perm):
         lits = {ins[j]: (a >> j) & 1 for j in range(k)}

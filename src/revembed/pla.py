@@ -91,10 +91,6 @@ def parse_pla(text: str) -> Pla:
         if n is None or m is None:
             raise PlaError("cube line before .i/.o", lineno)
         tokens = line.split()
-        if m == 0:
-            if len(tokens) != 1:
-                raise PlaError("expected a bare input cube", lineno)
-            tokens.append("")
         if len(tokens) != 2:
             raise PlaError("expected input and output planes", lineno)
         inp, outp = tokens

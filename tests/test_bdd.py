@@ -4,7 +4,15 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revembed import Cube, Func, Manager, ResourceLimitError, and_all, or_all
+from revembed import (
+    Cube,
+    Func,
+    Manager,
+    ResourceLimitError,
+    and_all,
+    or_all,
+    redundancy,
+)
 
 
 @pytest.fixture
@@ -81,6 +89,41 @@ class TestStructure:
             assert mgr.apply(op, g, f).node == fg.node
             assert len(mgr._memo) == entries
 
+    def test_self_xor_creates_no_nodes(self):
+        f = redundancy(8, 8)
+        manager = f.manager
+        before = manager.node_count()
+        assert (f ^ f).is_false
+        assert f.xnor(f).is_true
+        assert manager.node_count() == before
+
+    def test_interrupted_insert_keeps_canonicity(self, mgr):
+        # an exception raised between _nodes.append and the _unique insert
+        # (as a timeout alarm could) leaves one unreferenced node behind;
+        # later builds must still agree on one node per function
+        class FailOnce(dict):
+            armed = 8  # the first node of the final disjunction
+
+            def __setitem__(self, key, value):
+                self.armed -= 1
+                if self.armed == 0:
+                    raise ResourceLimitError("interrupted")
+                super().__setitem__(key, value)
+
+        def build():
+            a, b, c, d = (mgr.var(n) for n in "abcd")
+            return (a & b) | (c ^ d)
+
+        mgr._unique = FailOnce(mgr._unique)
+        with pytest.raises(ResourceLimitError):
+            build()
+        first, second = build(), build()
+        assert first == second
+        # terminals and the orphan are the only nodes outside the table
+        assert mgr.node_count() == len(mgr._unique) + 3
+        want = tuple(int((a and b) or (c != d)) for a, b, c, d in all_points(4))
+        assert truth(mgr, first, 4) == want
+
 
 def from_dot(manager, text):
     """Rebuild a function from to_dot's text by ite over its nodes' labels."""
@@ -156,6 +199,10 @@ class TestSemantics:
         assert mgr.eval(f, {"a": 1, "b": 0, "c": 0, "d": 1}) == 1
         assert mgr.eval(f, {"a": 1, "b": 0, "c": 1, "d": 1}) == 0
         assert mgr.sat_count(f, 4) == 4
+
+    def test_cube_rejects_a_variable_named_twice(self, mgr):
+        with pytest.raises(ValueError):
+            mgr.cube({"a": 1, 0: 1})
 
     def test_from_cube_matches_literal_cube(self, mgr):
         c = Cube.parse("1-0-")
@@ -331,11 +378,25 @@ def test_random_formulas_match_reference(node):
     names = manager.add_vars(["x%d" % (i + 1) for i in range(NVARS)])
     f = build(manager, names, node)
     count = 0
+    table = {}
     for bits in all_points(NVARS):
         want = py_eval(node, bits)
         assert manager.eval(f, list(bits)) == want
         count += want
+        table[bits] = want
+    # a variable is in the support when flipping it changes some value
+    support = [
+        names[i]
+        for i in range(NVARS)
+        if any(
+            table[bits] != table[bits[:i] + (1 - bits[i],) + bits[i + 1 :]]
+            for bits in table
+        )
+    ]
+    assert f.support() == support
+    assert f.support_size() == len(support)
     assert manager.sat_count(f, NVARS) == count
+    assert manager.sat_count(~f, NVARS + 1) == 2 * ((1 << NVARS) - count)
     # double negation and self-xor sanity on the same structure
     assert ~~f == f
     assert (f ^ f).is_false

@@ -181,6 +181,21 @@ class TestEmbed:
         assert code == 1
         assert "with-offset" in err
 
+    def test_too_wide_for_the_recursion_exits_2(self, capsys, tmp_path):
+        # the interleaved Bennett order has two levels per line, which
+        # passes the depth cap of the recursive BDD core at 20000 inputs
+        n = 20000
+        wide = tmp_path / "wide.pla"
+        wide.write_text(
+            ".i %d\n.o 2\n1%s 10\n%s1 01\n.e\n" % (n, "-" * (n - 1), "-" * (n - 1))
+        )
+        code, out, err = run(capsys, "embed", str(wide), "--bennett")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("resource limit:")
+        assert err.count("\n") == 1
+
     def test_verification_failure_exits_3(self, capsys, monkeypatch):
         broken = VerifyReport(
             injective=False, functional=True, total=True, projects=True

@@ -1,0 +1,112 @@
+"""Digest of the revembed CLI's outputs, for old-versus-new differentials.
+
+Usage: python3 tools/cli_digest.py SRC_DIR
+
+Imports ``revembed`` from SRC_DIR (the ``src`` directory of a checkout) and
+runs a fixed list of commands in-process on the shipped PLAs and on the
+``perfbench/corpus`` covers with 16 or fewer inputs. For each command it
+prints one line: the exit code, the md5 of stdout, and the command. Two
+checkouts produce identical output exactly when every command exits the same
+way and writes the same bytes, ``--format dot`` node ids included. ``bench``
+output has its wall-clock ``seconds`` fields dropped before hashing.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+MAX_INPUTS = 16
+
+PER_FILE = [
+    ["lines", "--method", "heuristic"],
+    ["lines", "--method", "exact-cube"],
+    ["lines", "--method", "exact-bdd"],
+    ["dsop"],
+    ["dsop", "--compact"],
+    *(
+        ["embed", *mode, "--verify", "--format", fmt]
+        for mode in (["--exact", "--with-offset"], ["--bennett"])
+        for fmt in ("json", "pla", "dot")
+    ),
+    ["embed", "--exact", "--verify"],
+]
+
+GEN = [
+    ["gen", "redundancy", "4", "3"],
+    ["gen", "redundancy", "4", "3", "--embed"],
+    ["gen", "redundancy", "4", "3", "--format", "dot"],
+    ["gen", "rgs", "4"],
+    ["gen", "rgs", "4", "--embed"],
+    ["gen", "rgs", "4", "--format", "dot"],
+]
+
+
+def _inputs(src: Path) -> list[Path]:
+    """Shipped PLAs, then the corpus covers not shipped, by name."""
+    shipped = sorted((src / "revembed" / "data").glob("*.pla"))
+    names = {p.name for p in shipped}
+    corpus = [
+        p
+        for p in sorted(CORPUS.glob("*.pla"))
+        if p.name not in names and _input_count(p) <= MAX_INPUTS
+    ]
+    return shipped + corpus
+
+
+def _input_count(path: Path) -> int:
+    for line in path.read_text().splitlines():
+        parts = line.split()
+        if parts[:1] == [".i"]:
+            return int(parts[1])
+    raise ValueError("%s has no .i line" % path)
+
+
+def _drop_seconds(text: str) -> str:
+    payload = json.loads(text)
+    for result in payload["results"]:
+        result.pop("seconds")
+    return json.dumps(payload, indent=2)
+
+
+def _run(main, argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 tools/cli_digest.py SRC_DIR", file=sys.stderr)
+        return 1
+    src = Path(args[0]).resolve()
+    sys.path.insert(0, str(src))
+    from revembed.cli import main as cli_main
+
+    inputs = _inputs(src)
+    jobs = [(cmd + [str(p)], cmd + [p.name]) for p in inputs for cmd in PER_FILE]
+    jobs += [(cmd, cmd) for cmd in GEN]
+    with tempfile.TemporaryDirectory() as tmp:
+        for p in inputs:
+            shutil.copy(p, tmp)
+        for extra in ([], ["--ordering-study", "4", "--samples", "3"]):
+            jobs.append((["bench", tmp, *extra], ["bench", "INPUTS", *extra]))
+        for argv_, label in jobs:
+            code, stdout = _run(cli_main, argv_)
+            if argv_[0] == "bench" and code == 0:
+                stdout = _drop_seconds(stdout)
+            digest = hashlib.md5(stdout.encode()).hexdigest()
+            print("%d %s %s" % (code, digest, " ".join(label)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
