@@ -22,7 +22,6 @@ from .embedding import (
     cube_of,
     embed_bennett,
     embed_exact,
-    inc,
     ordering_comparison,
     to_extended_pla,
     verify,
@@ -78,7 +77,6 @@ __all__ = [
     "exact_mu_bdd",
     "exact_mu_cube",
     "heuristic_mu",
-    "inc",
     "off_set",
     "or_all",
     "ordering_comparison",

@@ -7,11 +7,15 @@ BDD of its characteristic function chi_g(kappa, x, y, gamma) on a manager
 whose order interleaves constant/output pairs above input/garbage pairs;
 this interleaving is what keeps chi_g of a reversible function small.
 
-embed_exact assigns garbage values cube by cube with a symbolic +q counter
-over the gamma variables, reaching the optimal ell = ceil(log2 mu) but
-leaving the nonzero constant planes unspecified. embed_bennett instead
-copies every input through (y_i = kappa_i xor f_i(x), gamma = x), total and
-simple, at the generic width n + m.
+embed_exact assigns garbage values cube by cube: the points of a cube take
+the next #on(c) consecutive values of their output pattern's garbage word,
+gamma = offset + rank(x). Each such relation cube is built directly through
+the manager's node constructor, level by level, by a pass that runs the
+adder on the BDD's own levels and shares its equal states. It reaches the
+optimal ell = ceil(log2 mu) but leaves the nonzero constant planes
+unspecified. embed_bennett instead copies every input through
+(y_i = kappa_i xor f_i(x), gamma = x), total and simple, at the generic
+width n + m.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .bdd import Func, Manager, VarId, and_all, or_all
-from .cube import DC
+from .cube import DC, Cube
 from .errors import ResourceLimitError
 from .linecount import heuristic_mu
 from .pla import Pla, characteristic, function_source
@@ -103,33 +107,6 @@ def cube_of(outputs: frozenset[int], manager: Manager, ys: list[VarId]) -> Func:
     return manager.cube({y: 1 if i + 1 in outputs else 0 for i, y in enumerate(ys)})
 
 
-def inc(gammas: list[Func], times: int = 1) -> list[Func]:
-    """Symbolic times-fold increment of the word (gamma_1 .. gamma_w).
-
-    gamma_1 is the least significant bit. Equivalent to composing the
-    +1 counter s_i = g_i xor (g_1 and ... and g_{i-1}) `times` times, i.e.
-    adding the constant `times` mod 2^w; implemented as a constant adder so
-    arbitrary-precision counts stay cheap.
-    """
-    if times < 0:
-        raise ValueError("times must be nonnegative")
-    if not gammas:
-        return []
-    manager = gammas[0].manager
-    carry = manager.false
-    out = []
-    for i, g in enumerate(gammas):
-        add_bit = (times >> i) & 1
-        s = g ^ carry
-        if add_bit:
-            s = ~s
-            carry = g | carry
-        else:
-            carry = g & carry
-        out.append(s)
-    return out
-
-
 def _add_interleaved(
     manager: Manager, first: str, p: int, second: str, q: int
 ) -> tuple[list[VarId], list[VarId]]:
@@ -152,15 +129,123 @@ def _embedding_manager(p: int, m: int, n: int, ell: int):
     return manager, kappa, xs, ys, gammas
 
 
+def _entry_builder(
+    manager: Manager,
+    kappa: list[VarId],
+    xs: list[VarId],
+    ys: list[VarId],
+    gammas: list[VarId],
+):
+    """Return build(cube, outs, offset), the relation cube of one
+    embed_exact entry: kappa = 0, y = outs' minterm, x inside cube, and
+    the garbage word gamma = offset + rank(x), where rank reads the
+    cube's don't-care inputs x_{d_0}, x_{d_1}, ... (ascending positions)
+    as a binary number, x_{d_0} least significant. The sum is taken over
+    the integers: points whose word would not fit in ell bits are left
+    out (embed_exact keeps offset + #on(cube) <= 2^ell, so it has none).
+
+    The x/g block is built through _mk from one pass over its levels that
+    runs the ripple adder offset + rank bit by bit. A level is entered in
+    states (carry, queue, held):
+      carry  the adder's carry into the next garbage bit;
+      queue  rank bits forced by garbage bits read before their inputs:
+             g_j read while x_{d_j} is still below fixes x_{d_j} to
+             g_j ^ offset_j ^ carry, which keeps the carry known (queueing
+             the raw g_j instead would not, and would breed dead states);
+      held   a rank bit x_{d_j} read before its own g_j.
+    In the interleaved order x_j sits directly above g_j and d_j >= j, so
+    a held bit always belongs to the very next garbage bit and the inputs
+    read the queue front first. The pass goes down numbering the states
+    and their successors, then comes back up making one node per state,
+    so equal states share a node. The word must end with carry 0, so it
+    never wraps mod 2^ell. The kappa and y literals are chained on top,
+    as from_cube does.
+    """
+    block = sorted(
+        [(v.level, True, i) for i, v in enumerate(xs)]
+        + [(v.level, False, j) for j, v in enumerate(gammas)]
+    )
+    # (level, output index); kappa gets index 0, which no pattern holds
+    top = sorted(
+        [(v.level, 0) for v in kappa] + [(v.level, i + 1) for i, v in enumerate(ys)],
+        reverse=True,
+    )
+    mk = manager._mk
+
+    def build(cube: Cube, outs: frozenset[int], offset: int) -> Func:
+        care, value = cube.care, cube.value
+        dc_count = cube.n - care.bit_count()
+        # per level, each entering state's (low, high) successor index in
+        # the next level's states, -1 where the branch leads to 0
+        layers: list[list[tuple[int, int]]] = []
+        states: dict[tuple, int] = {(0, (), None): 0}
+        for _, is_x, i in block:
+            entered: dict[tuple, int] = {}
+            edges = []
+            for carry, queue, held in states:
+                if not is_x:
+                    add = (offset >> i) & 1
+                    if held is not None:
+                        known = held
+                    elif i >= dc_count:
+                        known = 0
+                    else:  # rank bit i is unread: this garbage bit picks it
+                        known = None
+                    pair = []
+                    for g in (0, 1):
+                        r = g ^ add ^ carry
+                        # the carry out is the majority of r, add and carry
+                        out = add if add == carry else r
+                        if known is None:
+                            pair.append((out, queue + (r,), None))
+                        else:
+                            pair.append((out, queue, None) if r == known else None)
+                    lo, hi = pair
+                elif (care >> i) & 1 or queue:
+                    # a fixed literal, or a rank bit its garbage bit forced
+                    if (care >> i) & 1:
+                        bit, rest = (value >> i) & 1, queue
+                    else:
+                        bit, rest = queue[0], queue[1:]
+                    lo = hi = (carry, rest, held)
+                    if bit:
+                        lo = None
+                    else:
+                        hi = None
+                else:  # a free rank bit: both values go on, held for g
+                    lo, hi = (carry, queue, 0), (carry, queue, 1)
+                edges.append(
+                    (
+                        -1 if lo is None else entered.setdefault(lo, len(entered)),
+                        -1 if hi is None else entered.setdefault(hi, len(entered)),
+                    )
+                )
+            layers.append(edges)
+            states = entered
+        # a word still carrying out of its top bit would have wrapped
+        nodes = [0 if carry else 1 for carry, _, _ in states]
+        for (level, _, _), edges in zip(reversed(block), reversed(layers)):
+            nodes.append(0)  # what index -1 reads
+            nodes = [mk(level, nodes[lo], nodes[hi]) for lo, hi in edges]
+        node = nodes[0]
+        for level, idx in top:
+            node = mk(level, 0, node) if idx in outs else mk(level, node, 0)
+        return Func(manager, node)
+
+    return build
+
+
 def embed_exact(pla: Pla) -> RcBdd:
     """Garbage-optimal partial embedding of a disjoint cube list.
 
     Every entry (c, o) becomes one relation cube: inputs constrained by c
-    on the kappa=0 plane, y set to o's minterm, and the garbage word bound
-    to the block of #on(c) consecutive values starting at o's running
-    offset CNT[o] — don't-care inputs of c enumerate the block, unused
-    garbage bits pin its base. Entries sharing a pattern therefore land on
-    disjoint garbage values, which is exactly what makes g injective.
+    on the kappa=0 plane, y set to o's minterm, and the garbage word equal
+    to o's running offset CNT[o] plus the rank of x among c's points --
+    don't-care inputs of c enumerate the block of #on(c) consecutive
+    values, and the garbage bits above them spell the block's base. Each
+    relation cube is built directly, level by level, by _entry_builder.
+    Entries sharing a pattern therefore land on disjoint garbage values,
+    which is exactly what makes g injective.
     """
     if not pla.dsop_certified:
         raise ValueError("embed_exact needs a dsop-certified Pla")
@@ -172,29 +257,20 @@ def embed_exact(pla: Pla) -> RcBdd:
         raise AssertionError("ell >= n - m must hold for exact mu")
     r = n + p
     manager, kappa, xs, ys, gammas = _embedding_manager(p, m, n, ell)
-    gamma_funcs = [manager.var(g) for g in gammas]
+    build = _entry_builder(manager, kappa, xs, ys, gammas)
 
     cnt: dict[frozenset[int], int] = {}
     trace: list[tuple[frozenset[int], int]] = []
     chi = manager.false
     for cube, outs in pla.entries:
         offset = cnt.get(outs, 0)
-        # gamma - offset: low bits must spell the don't-care index, high
-        # bits must be 0, which pins gamma to [offset, offset + on_size)
-        word = inc(gamma_funcs, (-offset) % (1 << ell))
-        literals = {xs[pos]: bit for pos, bit in cube.literals()}
-        literals.update({k: 0 for k in kappa})
-        literals.update({y: 1 if i + 1 in outs else 0 for i, y in enumerate(ys)})
-        entry = manager.cube(literals)
-        dcs = cube.dc_positions()
-        for i, d in enumerate(dcs):
-            entry = entry & manager.var(xs[d]).xnor(word[i])
-        for i in range(len(dcs), ell):
-            entry = entry & ~word[i]
         cnt[outs] = offset + cube.on_size()
-        assert cnt[outs] <= mu_map.get(outs, 0), "garbage block overran mu"
+        # mu <= 2^ell, so this bound also keeps every garbage word inside
+        # ell bits; the builder would silently drop the points past them
+        if cnt[outs] > mu_map.get(outs, 0):
+            raise AssertionError("garbage block overran mu")
         trace.append((outs, cnt[outs]))
-        chi = chi | entry
+        chi = chi | build(cube, outs, offset)
     return RcBdd(
         manager=manager,
         chi=chi,

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from revembed import Cube, DC, Pla, cube_and, cube_sharp
+from revembed import Cube, DC, Func, Pla, cube_and, cube_sharp
 
 
 def cube_points(cube: Cube) -> set[int]:
@@ -29,6 +29,33 @@ def pla_truth(pla: Pla) -> dict[int, frozenset[int]]:
                 outs |= pat
         table[x] = frozenset(outs)
     return table
+
+
+def inc(gammas: list[Func], times: int = 1) -> list[Func]:
+    """Symbolic times-fold increment of the word (gamma_1 .. gamma_w).
+
+    gamma_1 is the least significant bit. Equivalent to composing the
+    +1 counter s_i = g_i xor (g_1 and ... and g_{i-1}) `times` times, i.e.
+    adding the constant `times` mod 2^w; implemented as a constant adder so
+    arbitrary-precision counts stay cheap.
+    """
+    if times < 0:
+        raise ValueError("times must be nonnegative")
+    if not gammas:
+        return []
+    manager = gammas[0].manager
+    carry = manager.false
+    out = []
+    for i, g in enumerate(gammas):
+        add_bit = (times >> i) & 1
+        s = g ^ carry
+        if add_bit:
+            s = ~s
+            carry = g | carry
+        else:
+            carry = g & carry
+        out.append(s)
+    return out
 
 
 def random_pla(rng: random.Random, n: int, m: int, max_cubes: int) -> Pla:

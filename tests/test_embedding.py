@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from revembed import (
+    DC,
+    Cube,
     Manager,
     Pla,
     ResourceLimitError,
@@ -15,7 +17,6 @@ from revembed import (
     embed_bennett,
     embed_exact,
     exact_mu_cube,
-    inc,
     ordering_comparison,
     parse_pla,
     to_extended_pla,
@@ -23,7 +24,9 @@ from revembed import (
     verify,
 )
 
-from helpers import cube_points, hand_built_chi, pla_truth, random_pla
+from revembed.embedding import _embedding_manager, _entry_builder
+
+from helpers import cube_points, hand_built_chi, inc, pla_truth, random_pla
 
 
 class TestInc:
@@ -103,6 +106,77 @@ class TestEmbedExact:
         assert (rc.p, rc.ell, rc.r) == (1, 2, 3)
         rep = verify(rc, and2)
         assert rep.ok
+
+    def test_wide_pair_creates_few_nodes(self):
+        # x1 = 1 drives output 1, x400 = 1 output 2: three entries of 398
+        # don't-cares each, ell = 398; a node count, not a timing
+        n = 400
+        pla = parse_pla(
+            ".i %d\n.o 2\n1%s 10\n%s1 01\n.e\n" % (n, "-" * (n - 1), "-" * (n - 1))
+        )
+        rc = embed_exact(dsop(pla))
+        assert rc.ell == n - 2
+        assert rc.manager.node_count() <= 2 * rc.node_count()
+        rep = verify(rc, pla)
+        assert rep.injective and rep.functional and rep.projects
+
+
+def _chained_entry(manager, kappa, xs, ys, gammas, cube, outs, offset):
+    """Reference entry from Boolean operations: the literal cube, and
+    gamma - offset through the inc adder, its low bits tied to the
+    don't-care inputs by xnor and its high bits zero."""
+    ell = len(gammas)
+    word = inc([manager.var(g) for g in gammas], (-offset) % (1 << ell))
+    literals = {xs[pos]: bit for pos, bit in cube.literals()}
+    literals.update({k: 0 for k in kappa})
+    literals.update({y: 1 if i + 1 in outs else 0 for i, y in enumerate(ys)})
+    entry = manager.cube(literals)
+    dcs = cube.dc_positions()
+    for i, d in enumerate(dcs):
+        entry = entry & manager.var(xs[d]).xnor(word[i])
+    for i in range(len(dcs), ell):
+        entry = entry & ~word[i]
+    return entry
+
+
+@st.composite
+def _entry_draws(draw):
+    """(cube bits, p, m, outs, ell, offset) with offset + #on(cube) <= 2^ell."""
+    n = draw(st.integers(1, 6))
+    bits = tuple(draw(st.lists(st.sampled_from((0, 1, DC)), min_size=n, max_size=n)))
+    dc_count = bits.count(DC)
+    m = draw(st.integers(0, 2))
+    outs = frozenset(draw(st.sets(st.integers(1, m))) if m else ())
+    ell = draw(st.integers(dc_count, n + 2))
+    offset = draw(st.integers(0, (1 << ell) - (1 << dc_count)))
+    return bits, draw(st.integers(0, 2)), m, outs, ell, offset
+
+
+class TestEntryBuilder:
+    @settings(max_examples=300, deadline=None)
+    @given(_entry_draws())
+    # n > ell leaves x-only levels at the bottom, ell > n g-only levels
+    @example(((1, DC, 0, DC, 1, 1), 0, 1, frozenset({1}), 3, 3))
+    @example(((DC, DC), 1, 2, frozenset({2}), 5, 27))
+    def test_matches_inc_chain(self, draw):
+        bits, p, m, outs, ell, offset = draw
+        cube = Cube(bits)
+        manager, kappa, xs, ys, gammas = _embedding_manager(p, m, cube.n, ell)
+        direct = _entry_builder(manager, kappa, xs, ys, gammas)(cube, outs, offset)
+        chained = _chained_entry(manager, kappa, xs, ys, gammas, cube, outs, offset)
+        assert direct == chained
+
+    def test_drops_points_whose_word_would_wrap(self):
+        # ranks 0..3 from offset 6 in 3 bits: 6 and 7 fit, 8 and 9 do not
+        cube = Cube((DC, 1, DC))
+        manager, kappa, xs, ys, gammas = _embedding_manager(1, 1, 3, 3)
+        entry = _entry_builder(manager, kappa, xs, ys, gammas)(cube, frozenset({1}), 6)
+        want = manager.false
+        for rank, word in ((0, 6), (1, 7)):
+            lits = {xs[0]: rank & 1, xs[1]: 1, xs[2]: rank >> 1, kappa[0]: 0, ys[0]: 1}
+            lits.update({g: (word >> i) & 1 for i, g in enumerate(gammas)})
+            want = want | manager.cube(lits)
+        assert entry == want
 
 
 class TestVerify:

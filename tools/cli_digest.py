@@ -9,6 +9,13 @@ prints one line: the exit code, the md5 of stdout, and the command. Two
 checkouts produce identical output exactly when every command exits the same
 way and writes the same bytes, ``--format dot`` node ids included. ``bench``
 output has its wall-clock ``seconds`` fields dropped before hashing.
+
+A ``--format dot`` line that exits 0 carries a second md5, ``dot:<md5>``
+before the command, over the dot text with its node ids renumbered
+depth-first from the root, low edge first. Node ids are creation order, so
+a change that builds the same BDD through other intermediate nodes moves
+them: equal ``dot:`` digests then say the two graphs are the same, labels,
+edges and ranks included, while the first md5 differs.
 """
 from __future__ import annotations
 
@@ -16,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import shutil
 import sys
 import tempfile
@@ -75,6 +83,66 @@ def _drop_seconds(text: str) -> str:
     return json.dumps(payload, indent=2)
 
 
+_NODE = re.compile(r"\bn(\d+)\b")
+_EDGE = re.compile(r"^\s*n(\d+) -> n(\d+) \[style=(dashed|solid)\];$")
+
+
+def _renumbered_dot(text: str) -> str:
+    """The dot text of one BDD with node ids renumbered depth-first from
+    the root (low edge first) and each section re-sorted by the new ids."""
+    lines = text.splitlines()
+    children: dict[int, dict[str, int]] = {}
+    targets = set()
+    nodes = []
+    for line in lines:
+        edge = _EDGE.match(line)
+        if edge:
+            src, dst = int(edge.group(1)), int(edge.group(2))
+            children.setdefault(src, {})[edge.group(3)] = dst
+            targets.add(dst)
+        elif "[label=" in line:
+            nodes.append(int(_NODE.search(line).group(1)))
+    roots = [x for x in nodes if x not in targets]
+    if len(roots) != 1:
+        raise ValueError("dot output is not a single-rooted graph")
+    order: dict[int, int] = {}
+    stack = roots
+    while stack:
+        x = stack.pop()
+        if x in order:
+            continue
+        order[x] = len(order)
+        kids = children.get(x)
+        if kids:
+            stack += [kids["solid"], kids["dashed"]]
+
+    def rename(line: str) -> str:
+        return _NODE.sub(lambda m: "n%d" % order[int(m.group(1))], line)
+
+    def first_id(line: str) -> int:
+        return int(_NODE.search(line).group(1))
+
+    head, decls, ranks, edges, tail = [], [], [], [], []
+    for line in lines:
+        if _EDGE.match(line):
+            edges.append(rename(line))
+        elif "[label=" in line:
+            decls.append(rename(line))
+        elif "rank=same" in line:
+            members = sorted(order[int(x)] for x in _NODE.findall(line))
+            ranks.append(
+                "  { rank=same; %s; }" % "; ".join("n%d" % x for x in members)
+            )
+        elif decls:
+            tail.append(line)
+        else:
+            head.append(line)
+    decls.sort(key=first_id)
+    # dashed before solid for each source, as to_dot writes them
+    edges.sort(key=lambda line: (first_id(line), "solid" in line))
+    return "\n".join(head + decls + ranks + edges + tail) + "\n"
+
+
 def _run(main, argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -104,6 +172,9 @@ def main(argv=None) -> int:
             if argv_[0] == "bench" and code == 0:
                 stdout = _drop_seconds(stdout)
             digest = hashlib.md5(stdout.encode()).hexdigest()
+            if code == 0 and ("--format", "dot") in zip(argv_, argv_[1:]):
+                shape = hashlib.md5(_renumbered_dot(stdout).encode()).hexdigest()
+                digest += " dot:" + shape
             print("%d %s %s" % (code, digest, " ".join(label)))
     return 0
 
