@@ -154,7 +154,9 @@ class Manager:
         self._vars.append(vid)
         self._names.append(name)
         self._by_name[name] = vid
-        # deep managers need commensurate recursion headroom
+        # deep managers need commensurate recursion headroom; the raised
+        # limit stays for the rest of the process (cli.main restores the
+        # limit it found, library callers keep the raised one)
         want = 2000 + 3 * len(self._vars)
         if sys.getrecursionlimit() < want:
             sys.setrecursionlimit(min(want, MAX_RECURSION))

@@ -267,6 +267,9 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
+    # Manager.add_var raises the interpreter's recursion limit for wide
+    # inputs; the caller gets back the limit it had
+    recursion_limit = sys.getrecursionlimit()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -312,6 +315,7 @@ def main(argv=None) -> int:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, old_handler)
+        sys.setrecursionlimit(recursion_limit)
 
 
 if __name__ == "__main__":

@@ -104,6 +104,24 @@ class TestLines:
         assert payload["mu"] == 1 << log2_mu
         assert payload["ell"] == log2_mu
 
+    def test_restores_the_recursion_limit(self, capsys, tmp_path):
+        # the manager raises the limit for 16,000 levels; main puts back
+        # the limit it was called with
+        n = 16000
+        wide = tmp_path / "wide.pla"
+        wide.write_text(
+            ".i %d\n.o 2\n1%s 10\n%s1 01\n.e\n" % (n, "-" * (n - 1), "-" * (n - 1))
+        )
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code, _, err = run(capsys, "lines", str(wide), "--method", "exact-bdd")
+            after = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(before)
+        assert (code, err) == (0, "")
+        assert after == 1000
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "lines", "/definitely/not/here.pla")
         assert code == 1

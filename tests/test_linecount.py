@@ -3,6 +3,7 @@ import random
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import revembed as rv
 from revembed import (
@@ -94,6 +95,38 @@ class TestExactBddInputs:
         with pytest.raises(ResourceLimitError):
             exact_mu_bdd(running, pattern_cap=2)
 
+    def test_pattern_cap_is_the_largest_allowed_count(self, running):
+        assert pattern_map(exact_mu_bdd(running, pattern_cap=5)) == RUNNING_EXACT
+        with pytest.raises(ResourceLimitError):
+            exact_mu_bdd(running, pattern_cap=4)
+
+    def test_empty_function_list(self):
+        assert exact_mu_bdd([], n=3).per_pattern == {frozenset(): 8}
+        rep = exact_mu_bdd([])
+        assert rep.per_pattern == {frozenset(): 1}
+        assert (rep.mu, rep.ell, rep.total_lines) == (1, 0, 0)
+
+    def test_constant_functions(self):
+        manager = Manager()
+        consts = [manager.true, manager.false, manager.true]
+        assert exact_mu_bdd(consts).per_pattern == {frozenset({1, 3}): 1}
+        manager.add_vars(["x1", "x2"])
+        rep = exact_mu_bdd(consts, n=2)
+        assert rep.per_pattern == {frozenset({1, 3}): 4}
+        assert (rep.mu, rep.ell, rep.total_lines) == (4, 2, 5)
+
+    def test_manager_with_variables_beyond_n(self, running):
+        manager = Manager()
+        xs = [manager.add_var("x%d" % (i + 1)) for i in range(running.n)]
+        manager.add_vars(["spare1", "spare2"])
+        funcs = rv.to_functions(running, manager, xs)
+        assert pattern_map(exact_mu_bdd(funcs, n=running.n)) == RUNNING_EXACT
+        # n defaults to the highest support level, not the variable count
+        assert pattern_map(exact_mu_bdd(funcs)) == RUNNING_EXACT
+        # spare levels below the inputs double every count per level
+        wide = exact_mu_bdd(funcs, n=running.n + 2)
+        assert pattern_map(wide) == {k: 4 * v for k, v in RUNNING_EXACT.items()}
+
 
 class TestReportShape:
     def test_to_dict_schema(self, running):
@@ -129,6 +162,18 @@ class TestAgreement:
             certified = heuristic_mu(dsop(pla))
             assert certified.exact
             assert pattern_map(certified) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_exact_bdd_matches_brute_force(self, n, m, seed):
+        # the walk's states are m-tuples, so wide output planes matter
+        pla = random_pla(random.Random(seed), n, m, 12)
+        got = exact_mu_bdd(pla)
+        want = brute_mu(pla)
+        assert pattern_map(got) == pattern_map(want)
+        assert (got.mu, got.ell, got.total_lines) == (
+            want.mu, want.ell, want.total_lines,
+        )
 
     def test_exact_counts_partition_the_domain(self, running, underapprox):
         for pla in (running, underapprox):

@@ -4,7 +4,8 @@ Usage: python3 tools/cli_digest.py SRC_DIR
 
 Imports ``revembed`` from SRC_DIR (the ``src`` directory of a checkout) and
 runs a fixed list of commands in-process on the shipped PLAs and on the
-``perfbench/corpus`` covers with 16 or fewer inputs. For each command it
+``perfbench/corpus`` covers with 16 or fewer inputs, plus the ``lines``
+counts of the wider covers in ``WIDE_COVERS``. For each command it
 prints one line: the exit code, the md5 of stdout, and the command. Two
 checkouts produce identical output exactly when every command exits the same
 way and writes the same bytes, ``--format dot`` node ids included. ``bench``
@@ -44,6 +45,13 @@ PER_FILE = [
         for fmt in ("json", "pla", "dot")
     ),
     ["embed", "--exact", "--verify"],
+]
+
+# covers above MAX_INPUTS, where only the symbolic line counts run fast
+WIDE_COVERS = ["r20c40", "r20c100", "r24c182"]
+WIDE_FILE = [
+    ["lines", "--method", "exact-bdd"],
+    ["lines", "--method", "heuristic"],
 ]
 
 GEN = [
@@ -161,6 +169,8 @@ def main(argv=None) -> int:
 
     inputs = _inputs(src)
     jobs = [(cmd + [str(p)], cmd + [p.name]) for p in inputs for cmd in PER_FILE]
+    wide = [CORPUS / ("%s.pla" % name) for name in WIDE_COVERS]
+    jobs += [(cmd + [str(p)], cmd + [p.name]) for p in wide for cmd in WIDE_FILE]
     jobs += [(cmd, cmd) for cmd in GEN]
     with tempfile.TemporaryDirectory() as tmp:
         for p in inputs:
