@@ -11,7 +11,7 @@ from __future__ import annotations
 from importlib.resources import files as _files
 from pathlib import Path
 
-from .bdd import Func, Manager, VarId, and_all, or_all
+from .bdd import Func, Manager, and_all, or_all
 from .benchgen import redundancy, restricted_growth
 from .cube import DC, Cube, cube_and, cube_sharp
 from .dsop import dsop, post_compact
@@ -40,7 +40,7 @@ from .linecount import (
     upper_bound_total,
 )
 from .oracle import brute_dsop_check, brute_mu, brute_verify
-from .pla import Pla, characteristic, off_set, parse_pla, to_functions, write_pla
+from .pla import Pla, characteristic, parse_pla, to_functions, write_pla
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "PlaError",
     "RcBdd",
     "ResourceLimitError",
-    "VarId",
     "VerifyReport",
     "and_all",
     "brute_dsop_check",
@@ -77,7 +76,6 @@ __all__ = [
     "exact_mu_bdd",
     "exact_mu_cube",
     "heuristic_mu",
-    "off_set",
     "or_all",
     "ordering_comparison",
     "parse_pla",

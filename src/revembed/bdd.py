@@ -21,28 +21,14 @@ confine each manager to one thread.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .cube import Cube, bit_positions
-from .errors import ResourceLimitError
 
 TERMINAL_LEVEL = sys.maxsize
 # add_var raises the interpreter's recursion limit with the variable count,
 # up to this cap, which bounds the depth of the recursive walks
 MAX_RECURSION = 40000
-
-
-@dataclass(frozen=True)
-class VarId:
-    """Handle for one manager variable: its level, the position in the
-    variable order, which this manager assigns in creation order.
-
-    A distinct type, so that methods taking a variable can tell a handle
-    from a plain int index.
-    """
-
-    level: int
 
 
 class Func:
@@ -72,7 +58,7 @@ class Func:
     def sat_count(self, support_size: int) -> int:
         return self.manager.sat_count(self, support_size)
 
-    def support(self) -> list[VarId]:
+    def support(self) -> list[int]:
         return self.manager.support(self)
 
     def support_size(self) -> int:
@@ -109,11 +95,11 @@ class Func:
 class Manager:
     """Shared node store plus the computed table of the ITE core.
 
-    max_nodes, when given, bounds the unique table; exceeding it raises
-    ResourceLimitError and leaves the manager usable.
+    A variable is its level, the position in the variable order, which this
+    manager assigns in creation order: the first variable added is level 0.
     """
 
-    def __init__(self, max_nodes: Optional[int] = None):
+    def __init__(self):
         # id 0 is the 0-terminal, id 1 the 1-terminal
         self._nodes: list[tuple[int, int, int]] = [
             (TERMINAL_LEVEL, -1, -1),
@@ -127,10 +113,8 @@ class Manager:
             0: (0, 0, 0),
             1: (1, 0, 0),
         }
-        self._vars: list[VarId] = []
         self._names: list[str] = []
-        self._by_name: dict[str, VarId] = {}
-        self.max_nodes = max_nodes
+        self._by_name: dict[str, int] = {}
 
     # Handles are made on demand: a Func stored on the manager would point
     # back at it, and that cycle would outlive the last outside handle.
@@ -144,55 +128,50 @@ class Manager:
 
     # ---------------------------------------------------------------- vars
 
-    def add_var(self, name: Optional[str] = None) -> VarId:
-        level = len(self._vars)
-        vid = VarId(level)
+    def add_var(self, name: Optional[str] = None) -> int:
+        level = len(self._names)
         if name is None:
             name = "v%d" % level
         if name in self._by_name:
             raise ValueError("duplicate variable name %r" % name)
-        self._vars.append(vid)
         self._names.append(name)
-        self._by_name[name] = vid
+        self._by_name[name] = level
         # deep managers need commensurate recursion headroom; the raised
         # limit stays for the rest of the process (cli.main restores the
         # limit it found, library callers keep the raised one)
-        want = 2000 + 3 * len(self._vars)
+        want = 2000 + 3 * len(self._names)
         if sys.getrecursionlimit() < want:
             sys.setrecursionlimit(min(want, MAX_RECURSION))
-        return vid
+        return level
 
-    def add_vars(self, names: Iterable[str]) -> list[VarId]:
+    def add_vars(self, names: Iterable[str]) -> list[int]:
         return [self.add_var(n) for n in names]
 
     @property
-    def vars(self) -> list[VarId]:
-        return list(self._vars)
+    def vars(self) -> list[int]:
+        return list(range(len(self._names)))
 
     def var_count(self) -> int:
-        return len(self._vars)
+        return len(self._names)
 
-    def name_of(self, var: VarId) -> str:
-        return self._names[var.level]
+    def name_of(self, var) -> str:
+        return self._names[self._resolve(var)]
 
-    def _resolve(self, var) -> VarId:
-        if isinstance(var, VarId):
-            if var.level >= len(self._vars) or self._vars[var.level] != var:
-                raise ValueError("variable %r is not registered here" % (var,))
-            return var
-        if isinstance(var, int):
-            return self._vars[var]
+    def _resolve(self, var) -> int:
+        """The level of a variable given by level or by name."""
         if isinstance(var, str):
             return self._by_name[var]
-        raise TypeError("expected VarId, index, or name")
+        if isinstance(var, int):
+            if not 0 <= var < len(self._names):
+                raise ValueError("no variable at level %d" % var)
+            return var
+        raise TypeError("expected a level or a name")
 
     def var(self, var) -> Func:
-        vid = self._resolve(var)
-        return Func(self, self._mk(vid.level, 0, 1))
+        return Func(self, self._mk(self._resolve(var), 0, 1))
 
     def nvar(self, var) -> Func:
-        vid = self._resolve(var)
-        return Func(self, self._mk(vid.level, 1, 0))
+        return Func(self, self._mk(self._resolve(var), 1, 0))
 
     # --------------------------------------------------------------- nodes
 
@@ -202,10 +181,6 @@ class Manager:
         key = (level, lo, hi)
         nid = self._unique.get(key)
         if nid is None:
-            if self.max_nodes is not None and len(self._nodes) >= self.max_nodes:
-                raise ResourceLimitError(
-                    "node budget of %d exhausted" % self.max_nodes
-                )
             nid = len(self._nodes)
             self._nodes.append(key)
             self._unique[key] = nid
@@ -305,7 +280,7 @@ class Manager:
     def restrict(self, f: Func, assignment: dict) -> Func:
         """Fix the given variables to constants."""
         u = self._check(f)
-        fixed = {self._resolve(k).level: int(v) for k, v in assignment.items()}
+        fixed = {self._resolve(k): int(v) for k, v in assignment.items()}
         for v in fixed.values():
             if v not in (0, 1):
                 raise ValueError("restriction values must be 0 or 1")
@@ -330,7 +305,7 @@ class Manager:
     def exists(self, f: Func, variables) -> Func:
         """Existentially quantify the given variables out of f."""
         u = self._check(f)
-        levels = frozenset(self._resolve(v).level for v in variables)
+        levels = frozenset(self._resolve(v) for v in variables)
         if not levels:
             return f
         return Func(self, self._exists(u, levels, max(levels), {}))
@@ -355,7 +330,7 @@ class Manager:
         memo[x] = out
         return out
 
-    def from_cube(self, cube: Cube, xs: Optional[list[VarId]] = None) -> Func:
+    def from_cube(self, cube: Cube, xs: Optional[list[int]] = None) -> Func:
         """Conjunction of a cube's literals; the inverse of enumerate_paths.
 
         Position i stands for xs[i] (default: the manager's i-th variable).
@@ -365,11 +340,11 @@ class Manager:
         n = len(cube)
         if xs is not None and len(xs) != n:
             raise ValueError("need %d variables, got %d" % (n, len(xs)))
-        node, below = 1, len(self._vars)
+        node, below = 1, len(self._names)
         care, value = cube.care, cube.value
         while care:
             pos = care.bit_length() - 1
-            level = pos if xs is None else xs[pos].level
+            level = pos if xs is None else xs[pos]
             if level >= below:
                 raise ValueError("cube variables must ascend within the manager")
             if (value >> pos) & 1:
@@ -383,31 +358,28 @@ class Manager:
     def cube(self, literals: dict) -> Func:
         """Conjunction of single-variable literals, built without apply.
 
-        literals maps variable handles to 0 (negative) or 1 (positive).
+        literals maps levels or names to 0 (negative) or 1 (positive).
         """
         care = value = 0
         for k, v in literals.items():
-            bit = 1 << self._resolve(k).level
+            bit = 1 << self._resolve(k)
             if care & bit:
                 raise ValueError("conflicting literals for one variable")
             care |= bit
             if int(v):
                 value |= bit
-        return self.from_cube(Cube.from_masks(len(self._vars), care, value))
+        return self.from_cube(Cube.from_masks(len(self._names), care, value))
 
     def transfer(self, f: Func, var_map: dict) -> Func:
         """Rebuild a foreign Func inside this manager.
 
-        var_map maps source variables (VarId or level) to target variables
-        of this manager and must preserve relative level order.
+        var_map maps source levels to target variables of this manager and
+        must preserve relative level order.
         """
         src = f.manager
         if src is self:
             raise ValueError("transfer expects a foreign Func")
-        mapping = {}
-        for k, v in var_map.items():
-            klevel = k.level if isinstance(k, VarId) else int(k)
-            mapping[klevel] = self._resolve(v).level
+        mapping = {k: self._resolve(v) for k, v in var_map.items()}
         items = sorted(mapping.items())
         targets = [t for _, t in items]
         if targets != sorted(targets):
@@ -448,9 +420,8 @@ class Manager:
         self._analysis[u] = out
         return out
 
-    def support(self, f: Func) -> list[VarId]:
-        mask = self._analyse(self._check(f))[2]
-        return [self._vars[level] for level in bit_positions(mask)]
+    def support(self, f: Func) -> list[int]:
+        return list(bit_positions(self._analyse(self._check(f))[2]))
 
     def support_size(self, f: Func) -> int:
         return self._analyse(self._check(f))[2].bit_count()
@@ -477,7 +448,7 @@ class Manager:
         must be assigned."""
         u = self._check(f)
         if isinstance(assignment, dict):
-            byidx = {self._resolve(k).level: int(v) for k, v in assignment.items()}
+            byidx = {self._resolve(k): int(v) for k, v in assignment.items()}
             lookup = byidx.get
         else:
             seq = list(assignment)
@@ -564,7 +535,7 @@ class Manager:
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
-        return "<Manager vars=%d nodes=%d>" % (len(self._vars), len(self._nodes))
+        return "<Manager vars=%d nodes=%d>" % (len(self._names), len(self._nodes))
 
 
 def and_all(funcs: list[Func], manager: Optional[Manager] = None) -> Func:

@@ -5,7 +5,7 @@ creation time, which is part of each family's definition.
 """
 from __future__ import annotations
 
-from .bdd import Func, Manager, VarId, or_all
+from .bdd import Func, Manager, or_all
 
 
 def redundancy(p: int, q: int) -> Func:
@@ -20,13 +20,15 @@ def redundancy(p: int, q: int) -> Func:
     for j in range(q):
         for i in range(p):
             ys[i][j] = manager.add_var("y%d_%d" % (i + 1, j + 1))
+    # conjoin from the last column up: column j's y levels lie above those
+    # of every later column, so each AND reuses the product built so far
     f = manager.true
-    for j in range(q):
+    for j in reversed(range(q)):
         column = or_all(
             [manager.var(xs[i]) & manager.var(ys[i][j]) for i in range(p)],
             manager,
         )
-        f = f & column
+        f = column & f
     return f
 
 
@@ -50,7 +52,7 @@ def restricted_growth(p: int) -> Func:
 
 def _rgs_suffix(
     manager: Manager,
-    bits: list[list[VarId]],
+    bits: list[list[int]],
     memo: dict[tuple[int, int], Func],
     j: int,
     running_max: int,

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .bdd import Func, Manager, VarId, and_all, or_all
+from .bdd import Func, Manager, and_all, or_all
 from .cube import DC, Cube
 from .errors import ResourceLimitError
 from .linecount import heuristic_mu
@@ -46,10 +46,10 @@ class RcBdd:
     p: int
     ell: int
     r: int
-    kappa: list[VarId]
-    xs: list[VarId]
-    ys: list[VarId]
-    gammas: list[VarId]
+    kappa: list[int]
+    xs: list[int]
+    ys: list[int]
+    gammas: list[int]
     partial: bool
     # final per-pattern garbage-block offsets and their update history
     pattern_counts: dict[frozenset[int], int] = field(default_factory=dict)
@@ -58,7 +58,7 @@ class RcBdd:
     def node_count(self) -> int:
         return self.manager.dag_size(self.chi)
 
-    def roles(self) -> dict[VarId, tuple[str, int]]:
+    def roles(self) -> dict[int, tuple[str, int]]:
         out = {}
         for i, v in enumerate(self.kappa):
             out[v] = (ROLE_CONSTANT, i + 1)
@@ -102,18 +102,18 @@ class VerifyReport:
         }
 
 
-def cube_of(outputs: frozenset[int], manager: Manager, ys: list[VarId]) -> Func:
+def cube_of(outputs: frozenset[int], manager: Manager, ys: list[int]) -> Func:
     """Minterm cube over the y variables selecting one output pattern."""
     return manager.cube({y: 1 if i + 1 in outputs else 0 for i, y in enumerate(ys)})
 
 
 def _add_interleaved(
     manager: Manager, first: str, p: int, second: str, q: int
-) -> tuple[list[VarId], list[VarId]]:
+) -> tuple[list[int], list[int]]:
     """Add first1, second1, first2, second2, ..., then the longer group's
-    leftovers; return the two groups' handles."""
-    a: list[VarId] = []
-    b: list[VarId] = []
+    leftovers; return the two groups' levels."""
+    a: list[int] = []
+    b: list[int] = []
     for i in range(max(p, q)):
         if i < p:
             a.append(manager.add_var("%s%d" % (first, i + 1)))
@@ -131,10 +131,10 @@ def _embedding_manager(p: int, m: int, n: int, ell: int):
 
 def _entry_builder(
     manager: Manager,
-    kappa: list[VarId],
-    xs: list[VarId],
-    ys: list[VarId],
-    gammas: list[VarId],
+    kappa: list[int],
+    xs: list[int],
+    ys: list[int],
+    gammas: list[int],
 ):
     """Return build(cube, outs, offset), the relation cube of one
     embed_exact entry: kappa = 0, y = outs' minterm, x inside cube, and
@@ -162,12 +162,12 @@ def _entry_builder(
     as from_cube does.
     """
     block = sorted(
-        [(v.level, True, i) for i, v in enumerate(xs)]
-        + [(v.level, False, j) for j, v in enumerate(gammas)]
+        [(v, True, i) for i, v in enumerate(xs)]
+        + [(v, False, j) for j, v in enumerate(gammas)]
     )
     # (level, output index); kappa gets index 0, which no pattern holds
     top = sorted(
-        [(v.level, 0) for v in kappa] + [(v.level, i + 1) for i, v in enumerate(ys)],
+        [(v, 0) for v in kappa] + [(v, i + 1) for i, v in enumerate(ys)],
         reverse=True,
     )
     mk = manager._mk
@@ -383,8 +383,8 @@ def to_extended_pla(rcbdd: RcBdd, max_rows: int = 1 << 16) -> str:
     fd-style constructing sets; rows are pairwise disjoint.
     """
     manager = rcbdd.manager
-    in_levels = [v.level for v in rcbdd.kappa] + [v.level for v in rcbdd.xs]
-    out_levels = [v.level for v in rcbdd.ys] + [v.level for v in rcbdd.gammas]
+    in_levels = rcbdd.kappa + rcbdd.xs
+    out_levels = rcbdd.ys + rcbdd.gammas
     char = {0: "0", 1: "1", DC: "-"}
     rows = []
     for path in manager.enumerate_paths(rcbdd.chi, 2 * rcbdd.r):

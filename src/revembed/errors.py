@@ -12,7 +12,7 @@ class PlaError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured node, row, pattern, or time budget was exhausted.
+    """A configured time, pattern, or row budget was exhausted.
 
     Recoverable by design: the manager or CLI that raised it is left in a
     usable state.

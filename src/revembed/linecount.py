@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .bdd import Func, Manager
+from .bdd import Func, Manager, or_all
 from .cube import bit_positions
 from .dsop import dsop
 from .errors import ResourceLimitError
-from .pla import Pla, function_source, off_set, to_functions
+from .pla import Pla, function_source
 
 METHOD_HEURISTIC_CUBE = "heuristic-cube"
 METHOD_EXACT_CUBE = "exact-cube"
@@ -84,17 +84,20 @@ def _finish(method: str, exact: bool, per_pattern: dict, m: int) -> LineReport:
 def heuristic_mu(pla: Pla) -> LineReport:
     """Per-entry accumulation: each cube adds its on-set size to its own
     output pattern's bucket. The empty pattern's bucket is then overwritten
-    with the exact OFF-set size, computed symbolically. Counts for patterns
-    produced only by overlaps are over-estimates; the maximum is an upper
-    bound on mu, and exact when the Pla is dsop-certified."""
+    with the exact OFF-set size: 2^n less the count of the union of the
+    rows that construct some output, which is the union of the m ON-sets.
+    Counts for patterns produced only by overlaps are over-estimates; the
+    maximum is an upper bound on mu, and exact when the Pla is
+    dsop-certified."""
     per: dict[frozenset[int], int] = {}
     for cube, outs in pla.entries:
         per[outs] = per.get(outs, 0) + cube.on_size()
     manager = Manager()
-    xs = [manager.add_var("x%d" % (i + 1)) for i in range(pla.n)]
-    funcs = to_functions(pla, manager, xs)
-    off = off_set(funcs, manager)
-    off_count = manager.sat_count(off, pla.n)
+    manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
+    on = or_all(
+        [manager.from_cube(cube) for cube, outs in pla.entries if outs], manager
+    )
+    off_count = (1 << pla.n) - manager.sat_count(on, pla.n)
     # rows that construct nothing were accumulated like any other; replace
     # that estimate with the true OFF-set size, dropping it when f is total
     if off_count:

@@ -53,7 +53,7 @@ def table_from_func(f: Func, n: int) -> np.ndarray:
     (no counting or path machinery involved)."""
     _guard(n)
     manager = f.manager
-    if any(v.level >= n for v in f.support()):
+    if any(v >= n for v in f.support()):
         raise ValueError("function depends on variables beyond the first %d" % n)
     memo: dict[int, np.ndarray] = {}
 
@@ -149,8 +149,8 @@ def brute_verify(
     r = rcbdd.r
     _guard(r)
     manager = rcbdd.manager
-    in_levels = [v.level for v in rcbdd.kappa] + [v.level for v in rcbdd.xs]
-    out_levels = [v.level for v in rcbdd.ys] + [v.level for v in rcbdd.gammas]
+    in_levels = rcbdd.kappa + rcbdd.xs
+    out_levels = rcbdd.ys + rcbdd.gammas
 
     if isinstance(source, Pla):
         tables = tables_from_pla(source)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .bdd import Func, Manager, VarId, and_all, or_all
+from .bdd import Func, Manager, and_all, or_all
 from .cube import Cube
 from .errors import PlaError
 
@@ -148,7 +148,7 @@ def write_pla(pla: Pla) -> str:
 
 
 def to_functions(
-    pla: Pla, manager: Manager, xs: Optional[list[VarId]] = None
+    pla: Pla, manager: Manager, xs: Optional[list[int]] = None
 ) -> list[Func]:
     """ON-set BDDs f_1..f_m. xs gives the manager variables standing for
     input columns 1..n (defaults to the manager's first n variables)."""
@@ -166,7 +166,7 @@ def to_functions(
 
 def function_source(
     source: Union[Pla, list[Func]], n: Optional[int] = None
-) -> tuple[int, int, Callable[[Manager, list[VarId]], list[Func]]]:
+) -> tuple[int, int, Callable[[Manager, list[int]], list[Func]]]:
     """(n, m, place) for a Pla, or for Funcs over their manager's first n
     variables (n inferred from the support when not given).
 
@@ -176,31 +176,22 @@ def function_source(
     if isinstance(source, Pla):
         return source.n, source.m, lambda manager, xs: to_functions(source, manager, xs)
     if n is None:
-        n = max((v.level + 1 for f in source for v in f.support()), default=0)
+        n = max((v + 1 for f in source for v in f.support()), default=0)
 
-    def place(manager: Manager, xs: list[VarId]) -> list[Func]:
+    def place(manager: Manager, xs: list[int]) -> list[Func]:
         var_map = {i: xs[i] for i in range(n)}
         return [manager.transfer(f, var_map) for f in source]
 
     return n, len(source), place
 
 
-def off_set(functions: list[Func], manager: Optional[Manager] = None) -> Func:
-    """Complement of the union of all outputs' ON-sets."""
-    if functions:
-        manager = functions[0].manager
-    elif manager is None:
-        raise ValueError("empty function list needs an explicit manager")
-    return ~or_all(functions, manager)
-
-
 def characteristic(
-    functions: list[Func], manager: Manager, y_vars: list[VarId]
+    functions: list[Func], manager: Manager, y_vars: list[int]
 ) -> Func:
     """chi(x, y) = AND_i (y_i <-> f_i(x)).
 
-    The y variables' levels are wherever the caller registered them; the
-    exact line-count algorithm puts them above every input level.
+    The y variables' levels are wherever the caller registered them;
+    verify passes the embedding's output variables.
     """
     if len(functions) != len(y_vars):
         raise ValueError("one y variable per function")

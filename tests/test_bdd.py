@@ -56,14 +56,6 @@ class TestStructure:
         with pytest.raises(TypeError):
             bool(mgr.var("a"))
 
-    def test_node_cap(self):
-        small = Manager(max_nodes=12)
-        vs = small.add_vars(["v%d" % i for i in range(8)])
-        with pytest.raises(ResourceLimitError):
-            f = small.false
-            for v in vs:
-                f = f ^ small.var(v)
-
     def test_ite(self, mgr):
         a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
         assert mgr.ite(a, b, c) == (a & b) | (~a & c)
@@ -278,6 +270,34 @@ class TestCounting:
             if mgr.eval(f, [(p >> i) & 1 for i in range(4)])
         }
         assert total == want
+
+
+class TestLevels:
+    def test_add_var_returns_consecutive_levels(self):
+        manager = Manager()
+        assert [manager.add_var() for _ in range(3)] == [0, 1, 2]
+        assert manager.add_vars(["p", "q"]) == [3, 4]
+        assert manager.vars == [0, 1, 2, 3, 4]
+        assert manager.name_of(3) == "p"
+
+    def test_level_and_name_give_one_node(self, mgr):
+        for level, name in enumerate("abcd"):
+            assert mgr.var(level).node == mgr.var(name).node
+            assert mgr.nvar(level) == mgr.nvar(name)
+            assert mgr.node_level(mgr.var(name)) == level
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_level_outside_the_manager_is_rejected(self, mgr, bad):
+        assert mgr.var_count() == 4
+        with pytest.raises(ValueError):
+            mgr.var(bad)
+        with pytest.raises(ValueError):
+            mgr.cube({bad: 1})
+
+    def test_support_is_levels(self, mgr):
+        f = mgr.var("b") & ~mgr.var("d")
+        assert f.support() == [1, 3]
+        assert mgr.true.support() == []
 
 
 class TestTransfer:

@@ -28,6 +28,10 @@ class TestRedundancy:
         assert not f.is_true
         assert not f.is_false
 
+    def test_builds_few_nodes_beyond_the_result(self):
+        f = redundancy(8, 8)
+        assert f.manager.node_count() <= 2 * f.dag_size()
+
     @pytest.mark.parametrize("p,q", [(0, 1), (1, 0), (-2, 3)])
     def test_rejects_bad_shape(self, p, q):
         with pytest.raises(ValueError):

@@ -289,7 +289,7 @@ class TestExtendedPla:
                 (ch, pos)
                 for ch, pos in zip(
                     inp + outp,
-                    [v.level for v in rc.kappa + rc.xs + rc.ys + rc.gammas],
+                    rc.kappa + rc.xs + rc.ys + rc.gammas,
                 )
             ]
             fixed = [(pos, int(c)) for c, pos in spots if c != "-"]

@@ -175,6 +175,15 @@ class TestAgreement:
             want.mu, want.ell, want.total_lines,
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_heuristic_off_set_matches_brute_force(self, n, m, seed):
+        # uncertified rows overlap, carry empty output sets, and leave
+        # points uncovered; only the empty pattern's count is exact
+        pla = random_pla(random.Random(seed), n, m, 12)
+        got = heuristic_mu(pla).per_pattern.get(frozenset())
+        assert got == brute_mu(pla).per_pattern.get(frozenset())
+
     def test_exact_counts_partition_the_domain(self, running, underapprox):
         for pla in (running, underapprox):
             rep = exact_mu_bdd(pla)

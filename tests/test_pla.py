@@ -9,7 +9,6 @@ from revembed import (
     Pla,
     PlaError,
     characteristic,
-    off_set,
     parse_pla,
     to_functions,
     write_pla,
@@ -140,17 +139,6 @@ class TestFunctions:
         manager.add_vars(["x%d" % (i + 1) for i in range(running.n)])
         funcs = to_functions(running, manager)
         assert len(funcs) == running.m
-
-    def test_off_set(self, running):
-        manager = Manager()
-        xs = [manager.add_var("x%d" % (i + 1)) for i in range(running.n)]
-        funcs = to_functions(running, manager, xs)
-        off = off_set(funcs, manager)
-        assert manager.sat_count(off, running.n) == 4
-        truth = pla_truth(running)
-        for point in range(1 << running.n):
-            bits = [(point >> i) & 1 for i in range(running.n)]
-            assert manager.eval(off, bits) == (1 if not truth[point] else 0)
 
     def test_characteristic_counts_inputs(self, running):
         manager = Manager()
