@@ -303,7 +303,8 @@ def main(argv=None) -> int:
     except RecursionError:
         print(
             "resource limit: input too wide: BDD recursion passed its depth cap "
-            "of %d levels (embed --bennett reaches it near 20000 inputs)"
+            "of %d levels (embed --bennett --verify reaches it near 20000 "
+            "inputs)"
             % MAX_RECURSION,
             file=sys.stderr,
         )

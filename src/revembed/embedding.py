@@ -15,7 +15,10 @@ adder on the BDD's own levels and shares its equal states. It reaches the
 optimal ell = ceil(log2 mu) but leaves the nonzero constant planes
 unspecified. embed_bennett instead copies every input through
 (y_i = kappa_i xor f_i(x), gamma = x), total and simple, at the generic
-width n + m.
+width n + m. It conjoins only the m output terms, then plants each copy
+gamma_j = x_j under the x_j level of that conjunction with one memoised
+walk through the node constructor, so the n copy terms are never
+conjoined one by one.
 """
 from __future__ import annotations
 
@@ -294,21 +297,37 @@ def embed_bennett(
 ) -> RcBdd:
     """Total embedding that copies inputs through: for each output,
     y_i = kappa_i xor f_i(x); every input survives as garbage gamma_j = x_j.
-    Always reversible, at the generic n + m lines."""
+    Always reversible, at the generic n + m lines.
+
+    The relation AND_i (y_i <-> kappa_i ^ f_i) & AND_j (gamma_j <-> x_j)
+    is built in two steps: and_all conjoins the m output terms, whose
+    support is kappa, y and x only, and one memoised walk (_copy_inputs)
+    then plants gamma_j = x_j under every x_j of that conjunction through
+    the node constructor. The walk relies on gammas[j] being the level
+    directly below xs[j], which _embedding_manager(m, m, n, n) guarantees;
+    an AssertionError is raised if it does not hold. The result is the
+    canonical node of the relation, the one and_all over all m + n terms
+    would reach.
+    """
     n, m, place = function_source(source, n)
     manager, kappa, xs, ys, gammas = _embedding_manager(m, m, n, n)
+    if any(g != x + 1 for x, g in zip(xs, gammas)):
+        raise AssertionError("each gamma_j must sit directly below x_j")
     funcs = place(manager, xs)
-    terms = [
-        manager.var(y).xnor(manager.var(k) ^ f)
-        for y, k, f in zip(ys, kappa, funcs)
-    ]
-    terms.extend(
-        manager.var(g).xnor(manager.var(x)) for g, x in zip(gammas, xs)
+    outputs = and_all(
+        [
+            manager.var(y).xnor(manager.var(k) ^ f)
+            for y, k, f in zip(ys, kappa, funcs)
+        ],
+        manager,
     )
-    chi = and_all(terms, manager)
+    column = {x: j for j, x in enumerate(xs)}
+    node = _copy_inputs(
+        outputs.node, 0, manager._nodes, xs, column, manager._mk, {}
+    )
     return RcBdd(
         manager=manager,
-        chi=chi,
+        chi=Func(manager, node),
         n=n,
         m=m,
         p=m,
@@ -320,6 +339,54 @@ def embed_bennett(
         gammas=gammas,
         partial=False,
     )
+
+
+def _copy_inputs(
+    u: int,
+    j: int,
+    nodes: list[tuple[int, int, int]],
+    xs: list[int],
+    column: dict[int, int],
+    mk,
+    memo: dict[tuple[int, int], int],
+) -> int:
+    """The node of u & AND_{s >= j} (gamma_s <-> x_s), where gamma_s is
+    the level xs[s] + 1 and u, over kappa, y and x, has no x level above
+    xs[j]; column maps each x level to its index.
+
+    A node on x_t becomes x_t -> (gamma_t = 0 -> low', gamma_t = 1 ->
+    high'); each x_s it skips (j <= s < t, every s >= j under a terminal)
+    becomes the diamond x_s -> (gamma_s = x_s) -> the node below; kappa
+    and y nodes, which lie above every x, are copied as they are. The
+    memo is keyed on (u, j). The recursion goes only through u's nodes,
+    so it is as deep as u's longest path, not two frames per line; a
+    module function rather than a closure, so that no reference cycle
+    keeps the manager alive.
+    """
+    if u == 0:
+        return 0
+    key = (u, j)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    level, lo, hi = nodes[u]
+    if u == 1:
+        t, out = len(xs), 1
+    elif level in column:
+        t = column[level]
+        lo = _copy_inputs(lo, t + 1, nodes, xs, column, mk, memo)
+        hi = _copy_inputs(hi, t + 1, nodes, xs, column, mk, memo)
+        out = mk(level, mk(level + 1, lo, 0), mk(level + 1, 0, hi))
+    else:
+        t = j
+        lo = _copy_inputs(lo, j, nodes, xs, column, mk, memo)
+        hi = _copy_inputs(hi, j, nodes, xs, column, mk, memo)
+        out = mk(level, lo, hi)
+    for s in reversed(range(j, t)):
+        x = xs[s]
+        out = mk(x, mk(x + 1, out, 0), mk(x + 1, 0, out))
+    memo[key] = out
+    return out
 
 
 def complete_offset(pla: Pla) -> Pla:
@@ -363,8 +430,11 @@ def verify(rcbdd: RcBdd, source: Union[Pla, list[Func]]) -> VerifyReport:
     image = manager.exists(chi, in_vars)
     functional = relation == manager.sat_count(domain, r)
     injective = relation == manager.sat_count(image, r)
-    chi0 = manager.restrict(chi, {k: 0 for k in rcbdd.kappa})
-    domain0 = manager.exists(chi0, out_vars)
+    plane = {k: 0 for k in rcbdd.kappa}
+    chi0 = manager.restrict(chi, plane)
+    # kappa and the outputs are disjoint, so restricting commutes with
+    # quantifying: this is exists(chi0, out_vars) without a walk over chi0
+    domain0 = manager.restrict(domain, plane)
     total = domain0 == manager.true
     projected = manager.exists(chi0, rcbdd.gammas)
     chi_f = characteristic(funcs, manager, rcbdd.ys)

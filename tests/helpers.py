@@ -4,7 +4,8 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from revembed import Cube, DC, Func, Pla, cube_and, cube_sharp
+from revembed import Cube, DC, Func, Pla, and_all, cube_and, cube_sharp
+from revembed.pla import function_source
 
 
 def cube_points(cube: Cube) -> set[int]:
@@ -56,6 +57,27 @@ def inc(gammas: list[Func], times: int = 1) -> list[Func]:
             carry = g & carry
         out.append(s)
     return out
+
+
+def and_all_bennett_chi(rc, source) -> Func:
+    """The Bennett relation as one balanced conjunction of its m + n
+    terms, y_i <-> kappa_i ^ f_i(x) and gamma_j <-> x_j, on rc's manager."""
+    manager = rc.manager
+    _, _, place = function_source(source, rc.n)
+    funcs = place(manager, rc.xs)
+    terms = [
+        manager.var(y).xnor(manager.var(k) ^ f)
+        for y, k, f in zip(rc.ys, rc.kappa, funcs)
+    ]
+    terms.extend(
+        manager.var(g).xnor(manager.var(x)) for g, x in zip(rc.gammas, rc.xs)
+    )
+    return and_all(terms, manager)
+
+
+def two_cube_pla(n: int) -> str:
+    """PLA text over n inputs: x1 = 1 drives output 1, x_n = 1 output 2."""
+    return ".i %d\n.o 2\n1%s 10\n%s1 01\n.e\n" % (n, "-" * (n - 1), "-" * (n - 1))
 
 
 def random_pla(rng: random.Random, n: int, m: int, max_cubes: int) -> Pla:

@@ -14,6 +14,8 @@ import revembed
 import revembed.cli as cli
 from revembed import VerifyReport, parse_pla
 
+from helpers import two_cube_pla
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -88,9 +90,7 @@ class TestLines:
         # covers 2**15998 points, and each cube alone covers 2**15999
         n = 16000
         wide = tmp_path / "wide.pla"
-        wide.write_text(
-            ".i %d\n.o 2\n1%s 10\n%s1 01\n.e\n" % (n, "-" * (n - 1), "-" * (n - 1))
-        )
+        wide.write_text(two_cube_pla(n))
         limit = sys.get_int_max_str_digits()
         code, out, err = run(capsys, "lines", str(wide), "--method", method)
         assert (code, err) == (0, "")
@@ -109,9 +109,7 @@ class TestLines:
         # the limit it was called with
         n = 16000
         wide = tmp_path / "wide.pla"
-        wide.write_text(
-            ".i %d\n.o 2\n1%s 10\n%s1 01\n.e\n" % (n, "-" * (n - 1), "-" * (n - 1))
-        )
+        wide.write_text(two_cube_pla(n))
         before = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
@@ -200,19 +198,27 @@ class TestEmbed:
         assert "with-offset" in err
 
     def test_too_wide_for_the_recursion_exits_2(self, capsys, tmp_path):
-        # the interleaved Bennett order has two levels per line, which
-        # passes the depth cap of the recursive BDD core at 20000 inputs
+        # the interleaved Bennett order has two levels per line, so
+        # verify's quantification over chi passes the depth cap of the
+        # recursive BDD core at 20000 inputs
         n = 20000
         wide = tmp_path / "wide.pla"
-        wide.write_text(
-            ".i %d\n.o 2\n1%s 10\n%s1 01\n.e\n" % (n, "-" * (n - 1), "-" * (n - 1))
-        )
-        code, out, err = run(capsys, "embed", str(wide), "--bennett")
+        wide.write_text(two_cube_pla(n))
+        code, out, err = run(capsys, "embed", str(wide), "--bennett", "--verify")
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("resource limit:")
         assert err.count("\n") == 1
+
+    def test_bennett_build_is_not_capped_by_the_width(self, capsys, tmp_path):
+        # building chi recurses only through the output BDDs, not per line
+        n = 20000
+        wide = tmp_path / "wide.pla"
+        wide.write_text(two_cube_pla(n))
+        code, out, _ = run(capsys, "embed", str(wide), "--bennett")
+        assert code == 0
+        assert json.loads(out)["node_count"] == 6 * n + 11
 
     def test_verification_failure_exits_3(self, capsys, monkeypatch):
         broken = VerifyReport(

@@ -8,7 +8,6 @@ from revembed import (
     DC,
     Cube,
     Manager,
-    Pla,
     ResourceLimitError,
     brute_verify,
     complete_offset,
@@ -19,6 +18,8 @@ from revembed import (
     exact_mu_cube,
     ordering_comparison,
     parse_pla,
+    redundancy,
+    restricted_growth,
     to_extended_pla,
     to_functions,
     verify,
@@ -26,7 +27,15 @@ from revembed import (
 
 from revembed.embedding import _embedding_manager, _entry_builder
 
-from helpers import cube_points, hand_built_chi, inc, pla_truth, random_pla
+from helpers import (
+    and_all_bennett_chi,
+    cube_points,
+    hand_built_chi,
+    inc,
+    pla_truth,
+    random_pla,
+    two_cube_pla,
+)
 
 
 class TestInc:
@@ -111,9 +120,7 @@ class TestEmbedExact:
         # x1 = 1 drives output 1, x400 = 1 output 2: three entries of 398
         # don't-cares each, ell = 398; a node count, not a timing
         n = 400
-        pla = parse_pla(
-            ".i %d\n.o 2\n1%s 10\n%s1 01\n.e\n" % (n, "-" * (n - 1), "-" * (n - 1))
-        )
+        pla = parse_pla(two_cube_pla(n))
         rc = embed_exact(dsop(pla))
         assert rc.ell == n - 2
         assert rc.manager.node_count() <= 2 * rc.node_count()
@@ -204,6 +211,17 @@ class TestVerify:
         rep = verify(rc, funcs)
         assert rep.functional and rep.injective
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3))
+    def test_matches_brute_force(self, seed, n, m):
+        pla = random_pla(random.Random(seed), n, m, 6)
+        for rc in (
+            embed_exact(dsop(complete_offset(pla))),
+            embed_exact(dsop(pla)),
+            embed_bennett(pla),
+        ):
+            assert verify(rc, pla).to_dict() == brute_verify(rc, pla).to_dict()
+
 
 class TestBennett:
     def test_shape_and_flags(self, underapprox):
@@ -224,9 +242,44 @@ class TestBennett:
         f = manager.var("u") ^ manager.var("v") ^ manager.var("w")
         rc = embed_bennett([f], n=3)
         assert (rc.n, rc.m, rc.r) == (3, 1, 4)
-        plain = Pla(3, 1, [])  # placeholder shape; verify against funcs
         rep = verify(rc, [f])
         assert rep.ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 4))
+    def test_matches_and_all_reference(self, seed, n, m):
+        # random_pla leaves points uncovered and rows with no outputs
+        pla = random_pla(random.Random(seed), n, m, 8)
+        rc = embed_bennett(pla)
+        assert rc.chi == and_all_bennett_chi(rc, pla)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 3))
+    def test_function_list_matches_and_all_reference(self, seed, n, extra):
+        # n + extra inputs, the last extra of them outside every support
+        pla = random_pla(random.Random(seed), n, 2, 6)
+        manager = Manager()
+        xs = manager.add_vars("x%d" % (i + 1) for i in range(n))
+        funcs = to_functions(pla, manager, xs)
+        rc = embed_bennett(funcs, n=n + extra)
+        assert rc.n == n + extra
+        assert rc.chi == and_all_bennett_chi(rc, funcs)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: redundancy(4, 3), lambda: restricted_growth(6)]
+    )
+    def test_generated_families_match_and_all_reference(self, make):
+        f = make()
+        rc = embed_bennett([f], n=f.manager.var_count())
+        assert rc.chi == and_all_bennett_chi(rc, [f])
+
+    def test_wide_pair_creates_few_nodes(self):
+        # a node count, not a timing: a balanced and_all over all m + n
+        # terms creates 4.8 times dag_size(chi) here
+        n = 400
+        pla = parse_pla(two_cube_pla(n))
+        rc = embed_bennett(pla)
+        assert rc.manager.node_count() <= 1.1 * rc.node_count()
 
     def test_pointwise(self, and2):
         rc = embed_bennett(and2)

@@ -5,7 +5,8 @@ Usage: python3 tools/cli_digest.py SRC_DIR
 Imports ``revembed`` from SRC_DIR (the ``src`` directory of a checkout) and
 runs a fixed list of commands in-process on the shipped PLAs and on the
 ``perfbench/corpus`` covers with 16 or fewer inputs, plus the ``lines``
-counts of the wider covers in ``WIDE_COVERS``. For each command it
+counts of the wider covers in ``WIDE_COVERS`` and the Bennett embedding of
+the benchmark's two-cube PLA with ``PAIR_INPUTS`` inputs. For each command it
 prints one line: the exit code, the md5 of stdout, and the command. Two
 checkouts produce identical output exactly when every command exits the same
 way and writes the same bytes, ``--format dot`` node ids included. ``bench``
@@ -30,7 +31,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+CORPUS = PERFBENCH / "corpus"
 MAX_INPUTS = 16
 
 PER_FILE = [
@@ -54,6 +56,13 @@ WIDE_FILE = [
     ["lines", "--method", "heuristic"],
 ]
 
+# x1 = 1 drives output 1 and the last input output 2: every x/g level of
+# the Bennett relation is a plain copy, which a wide input stresses
+PAIR_INPUTS = 300
+PAIR_FILE = [
+    ["embed", "--bennett", "--verify", "--format", fmt] for fmt in ("json", "dot")
+]
+
 GEN = [
     ["gen", "redundancy", "4", "3"],
     ["gen", "redundancy", "4", "3", "--embed"],
@@ -61,6 +70,7 @@ GEN = [
     ["gen", "rgs", "4"],
     ["gen", "rgs", "4", "--embed"],
     ["gen", "rgs", "4", "--format", "dot"],
+    ["gen", "rgs", "6", "--embed"],
 ]
 
 
@@ -165,6 +175,8 @@ def main(argv=None) -> int:
         return 1
     src = Path(args[0]).resolve()
     sys.path.insert(0, str(src))
+    sys.path.insert(1, str(PERFBENCH))
+    from covers import wide_pair
     from revembed.cli import main as cli_main
 
     inputs = _inputs(src)
@@ -175,6 +187,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for p in inputs:
             shutil.copy(p, tmp)
+        # outside tmp's top level, which the bench jobs read
+        pair = Path(tmp, "pair", "wide%d.pla" % PAIR_INPUTS)
+        pair.parent.mkdir()
+        pair.write_text(wide_pair(PAIR_INPUTS))
+        jobs += [(cmd + [str(pair)], cmd + [pair.name]) for cmd in PAIR_FILE]
         for extra in ([], ["--ordering-study", "4", "--samples", "3"]):
             jobs.append((["bench", tmp, *extra], ["bench", "INPUTS", *extra]))
         for argv_, label in jobs:
