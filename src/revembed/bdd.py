@@ -15,15 +15,16 @@ ite(f, 1, h), ite(f, g, f) becomes ite(f, g, 0), and the operands of and/or
 are ordered -- so equivalent calls share one entry.
 
 Counting helpers use Python integers throughout, so satisfying-assignment
-counts stay exact at thousands of variables. Managers are not thread-safe;
-confine each manager to one thread.
+counts stay exact at thousands of variables. Counts and supports are read
+per call from one pass over the reachable nodes and never cached. Managers
+are not thread-safe; confine each manager to one thread.
 """
 from __future__ import annotations
 
 import sys
 from typing import Iterable, Iterator, Optional
 
-from .cube import Cube, bit_positions
+from .cube import Cube
 
 TERMINAL_LEVEL = sys.maxsize
 # add_var raises the interpreter's recursion limit with the variable count,
@@ -107,12 +108,6 @@ class Manager:
         ]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._memo: dict[tuple[int, int, int], int] = {}
-        # per node: (count over `longest` variables, longest root-to-1 path
-        # length, support as a bitmask of levels)
-        self._analysis: dict[int, tuple[int, int, int]] = {
-            0: (0, 0, 0),
-            1: (1, 0, 0),
-        }
         self._names: list[str] = []
         self._by_name: dict[str, int] = {}
 
@@ -136,10 +131,10 @@ class Manager:
             raise ValueError("duplicate variable name %r" % name)
         self._names.append(name)
         self._by_name[name] = level
-        # deep managers need commensurate recursion headroom; the raised
-        # limit stays for the rest of the process (cli.main restores the
-        # limit it found, library callers keep the raised one)
-        want = 2000 + 3 * len(self._names)
+        # the walks recurse about 2 frames per level: allow 3, plus 1000 for
+        # the caller; the raised limit stays for the rest of the process
+        # (cli.main restores the limit it found, library callers keep it)
+        want = 1000 + 3 * len(self._names)
         if sys.getrecursionlimit() < want:
             sys.setrecursionlimit(min(want, MAX_RECURSION))
         return level
@@ -407,40 +402,45 @@ class Manager:
 
     # ------------------------------------------------------------ analysis
 
-    def _analyse(self, u: int) -> tuple[int, int, int]:
-        got = self._analysis.get(u)
-        if got is not None:
-            return got
-        lvl, lo, hi = self._nodes[u]
-        clo, llo, slo = self._analyse(lo)
-        chi, lhi, shi = self._analyse(hi)
-        longest = max(llo, lhi) + 1
-        count = (clo << (longest - 1 - llo)) + (chi << (longest - 1 - lhi))
-        out = (count, longest, (1 << lvl) | slo | shi)
-        self._analysis[u] = out
-        return out
+    def _levels(self, u: int) -> set[int]:
+        """The support of u: the levels of its reachable non-terminals."""
+        return {self._nodes[x][0] for x in self._reachable(u) if x >= 2}
 
     def support(self, f: Func) -> list[int]:
-        return list(bit_positions(self._analyse(self._check(f))[2]))
+        return sorted(self._levels(self._check(f)))
 
     def support_size(self, f: Func) -> int:
-        return self._analyse(self._check(f))[2].bit_count()
+        return len(self._levels(self._check(f)))
 
     def sat_count(self, f: Func, support_size: int) -> int:
         """Number of satisfying assignments over support_size variables.
 
         Exact arbitrary-precision count over any variable window of the
-        given size that contains f's support; errors when the window is
-        smaller than the support.
+        given size that contains f's support, from one bottom-up pass over
+        f's reachable nodes per call (nothing is cached); errors when the
+        window is smaller than the support.
         """
-        count, longest, mask = self._analyse(self._check(f))
-        need = mask.bit_count()
+        u = self._check(f)
+        seen = self._reachable(u)
+        nodes, top = self._nodes, len(self._names)
+        need = len({nodes[x][0] for x in seen if x >= 2})
         if support_size < need:
             raise ValueError(
                 "support_size %d is smaller than the support (%d variables)"
                 % (support_size, need)
             )
-        return count << (support_size - longest)
+        # per node: (models over the levels level..top-1, level), terminals
+        # at top; _mk links only to existing nodes, so children come first
+        count = {0: (0, top), 1: (1, top)}
+        for x in sorted(seen):
+            if x >= 2:
+                lvl, lo, hi = nodes[x]
+                (clo, llo), (chi, lhi) = count[lo], count[hi]
+                count[x] = ((clo << (llo - lvl - 1)) + (chi << (lhi - lvl - 1)), lvl)
+        models, lvl = count[u]
+        # rescale from the top - lvl levels counted to the window
+        shift = support_size - (top - lvl)
+        return models << shift if shift >= 0 else models >> -shift
 
     def eval(self, f: Func, assignment) -> int:
         """Pointwise evaluation. assignment is indexed by variable index
@@ -471,8 +471,7 @@ class Manager:
         the first n variables (low branch first). Requires f's support to
         lie within those variables."""
         u = self._check(f)
-        mask = self._analyse(u)[2]
-        if n < 0 or (mask >> n) != 0:
+        if n < 0 or any(lvl >= n for lvl in self._levels(u)):
             raise ValueError("f has support beyond the first %d variables" % n)
         return self._paths(u, n)
 

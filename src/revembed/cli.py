@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or input errors, 2 exhausted time/node/row
-budgets or an input too wide for the recursive BDD core, 3 a requested
-verification failed.
+Exit codes: 0 success, 1 usage or input errors, 2 an exhausted time,
+pattern or row budget or an input too wide for the recursive BDD core, 3 a
+requested verification failed.
 
 The --timeout budget is a SIGALRM timer, so main() enforces it only when
 called on the main thread; called from any other thread it runs unbounded.

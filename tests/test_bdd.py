@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,6 +252,33 @@ class TestCounting:
     def test_sat_count_skipped_levels(self, mgr):
         # d alone in a 4-var window: position in the order must not matter
         assert mgr.sat_count(mgr.var("d"), 4) == 8
+
+    def test_count_and_support_ignore_variables_added_later(self, mgr):
+        a, b, c, d = (mgr.var(v) for v in "abcd")
+        funcs = [(a & c) | ~b, d, b & ~d, mgr.true, mgr.false]
+        want = [[5, 10, 20], [4, 8, 16], [2, 4, 8], [8, 16, 32], [0, 0, 0]]
+        supports = [[0, 1, 2], [3], [1, 3], [], []]
+        for _ in range(3):
+            mgr.add_var()
+            for f, counts, support in zip(funcs, want, supports):
+                assert [mgr.sat_count(f, w) for w in (3, 4, 5)] == counts
+                assert f.support() == support
+
+    def test_long_chain_needs_no_recursion(self):
+        n = 50_000
+        manager = Manager()
+        limit = sys.getrecursionlimit()
+        try:
+            manager.add_vars("x%d" % i for i in range(n))
+            cube = Cube.from_masks(n, (1 << n) - 1, int("10" * (n // 2), 2))
+            f = manager.from_cube(cube)
+            assert manager.sat_count(f, n) == 1
+            assert manager.sat_count(f, n + 3) == 8
+            assert f.support() == list(range(n))
+            assert f.support_size() == n
+            assert list(manager.enumerate_paths(f, n)) == [cube]
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_enumerate_paths_partition(self, mgr):
         a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")

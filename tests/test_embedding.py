@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -221,6 +222,26 @@ class TestVerify:
             embed_bennett(pla),
         ):
             assert verify(rc, pla).to_dict() == brute_verify(rc, pla).to_dict()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3))
+    def test_false_verdicts_match_brute_force(self, seed, n, m):
+        # chi as built, with one full cube OR-ed in and with one input cube
+        # cut out, checked against its own PLA and against another one
+        rng = random.Random(seed)
+        pla = random_pla(rng, n, m, 6)
+        other = random_pla(rng, n, m, 6)
+        for rc in (embed_bennett(pla), embed_exact(dsop(pla))):
+            manager = rc.manager
+            full = manager.cube({v: rng.randint(0, 1) for v in range(2 * rc.r)})
+            cut = manager.cube({v: rng.randint(0, 1) for v in rc.xs})
+            for chi in (rc.chi, rc.chi | full, rc.chi & ~cut):
+                variant = dataclasses.replace(rc, chi=chi)
+                for source in (pla, other):
+                    assert (
+                        verify(variant, source).to_dict()
+                        == brute_verify(variant, source).to_dict()
+                    )
 
 
 class TestBennett:
