@@ -14,7 +14,7 @@ from pathlib import Path
 from .bdd import Func, Manager, and_all, or_all
 from .benchgen import redundancy, restricted_growth
 from .cube import DC, Cube, cube_and, cube_sharp
-from .dsop import dsop, post_compact
+from .dsop import compact, dsop, post_compact
 from .embedding import (
     RcBdd,
     VerifyReport,
@@ -65,6 +65,7 @@ __all__ = [
     "brute_verify",
     "ceil_log2",
     "characteristic",
+    "compact",
     "complete_offset",
     "cube_and",
     "cube_of",

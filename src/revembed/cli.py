@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or input errors, 2 an exhausted time,
-pattern or row budget or an input too wide for the recursive BDD core, 3 a
-requested verification failed.
+Exit codes: 0 success, 1 usage or input errors or an unwritable output
+file, 2 an exhausted time, pattern or row budget or an input too wide for
+the recursive BDD core, 3 a requested verification failed.
 
 The --timeout budget is a SIGALRM timer, so main() enforces it only when
 called on the main thread; called from any other thread it runs unbounded.
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .bdd import MAX_RECURSION
 from .benchgen import redundancy, restricted_growth
-from .dsop import dsop, post_compact
+from .dsop import compact, dsop
 from .embedding import (
     complete_offset,
     embed_bennett,
@@ -140,7 +140,10 @@ def _read_pla(path: str):
 
 def _emit(text: str, output):
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise _UsageError(str(exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -169,9 +172,7 @@ def _cmd_lines(args) -> int:
 
 def _cmd_dsop(args) -> int:
     pla = _read_pla(args.file)
-    result = dsop(pla)
-    if args.compact:
-        result = post_compact(result)
+    result = compact(pla) if args.compact else dsop(pla)
     _emit(write_pla(result), args.output)
     return EXIT_OK
 
@@ -282,21 +283,31 @@ def main(argv=None) -> int:
         and threading.current_thread() is threading.main_thread()
         and args.timeout > 0
     )
-    if use_alarm:
-        def _on_alarm(signum, frame):
+    handler = {
+        "lines": _cmd_lines,
+        "dsop": _cmd_dsop,
+        "embed": _cmd_embed,
+        "gen": _cmd_gen,
+        "bench": _cmd_bench,
+    }[args.command]
+    # the alarm raises only while armed: a timer that fires once the
+    # command has finished or failed cannot interrupt the reporting below
+    armed = False
+
+    def _on_alarm(signum, frame):
+        if armed:
             raise ResourceLimitError("timed out after %gs" % args.timeout)
 
+    if use_alarm:
         old_handler = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, args.timeout)
     try:
-        handler = {
-            "lines": _cmd_lines,
-            "dsop": _cmd_dsop,
-            "embed": _cmd_embed,
-            "gen": _cmd_gen,
-            "bench": _cmd_bench,
-        }[args.command]
-        return handler(args)
+        try:
+            if use_alarm:
+                armed = True
+                signal.setitimer(signal.ITIMER_REAL, args.timeout)
+            return handler(args)
+        finally:
+            armed = False
     except (ResourceLimitError, MemoryError) as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE

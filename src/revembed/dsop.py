@@ -15,18 +15,28 @@ A cube meets slot k exactly when bit k survives the AND of compat[b][i]
 over its literals (i, b), so the lowest surviving bit is the first overlap
 in list order, the same one a front-to-back scan would find.
 
-post_compact() then shrinks a disjoint list by re-extracting each output
-pattern's region from a BDD, one cube per path.
+compact() gives a smaller disjoint cover without running dsop(): one
+memoised walk over covered = OR of every row's cube and the m output BDDs
+together, as in Bryant's (1986) simultaneous traversal, maps each output
+pattern to the BDD of its region, the inputs whose covering rows construct
+exactly that pattern. This is Wille, Keszocze and Drechsler's (DATE 2011)
+partition of B^n by pattern, restricted to the covered inputs; each region
+is then read out as one cube per root-to-1 path. post_compact() is the same
+rewrite for a Pla that dsop() has already certified.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from .bdd import Manager, or_all
+from .bdd import Func, Manager, or_all
 from .cube import Cube, bit_positions, cube_and, cube_sharp
-from .pla import Pla
+from .errors import ResourceLimitError
+from .pla import Pla, to_functions
 
-__all__ = ["dsop", "post_compact"]
+__all__ = ["compact", "dsop", "post_compact"]
+
+# most output patterns a walk state may reach before the walk gives up
+DEFAULT_PATTERN_CAP = 1 << 20
 
 
 def _admit(compat: tuple[list[int], list[int]], slot: int, cube: Cube) -> None:
@@ -85,24 +95,43 @@ def dsop(pla: Pla) -> Pla:
 
 
 def post_compact(pla: Pla) -> Pla:
-    """Per-pattern cube compaction of a certified disjoint Pla.
-
-    Entries are grouped by exact output set, each group's region is OR-ed
-    into a BDD, and the region is re-read as one cube per root-to-1 path.
-    Sound only for disjoint inputs: overlapping cubes of different
-    patterns would conflate their regions.
+    """compact() of a Pla that dsop() certified; ValueError without the
+    certificate. The result does not depend on how the cover is split into
+    cubes, so it also equals compact() of the Pla dsop() was given.
     """
     if not pla.dsop_certified:
         raise ValueError("post_compact needs a dsop-certified Pla")
+    return compact(pla)
+
+
+def compact(pla: Pla) -> Pla:
+    """Disjoint cover of pla with one cube per path of each pattern's region.
+
+    An input's pattern is the union of the outputs of the rows whose cubes
+    cover it; inputs no row covers are left out, and inputs covered only by
+    rows with no outputs form the empty pattern's region. Patterns are
+    listed in ascending order of their sorted output tuples, and each
+    region's cubes in enumerate_paths order. Raises ResourceLimitError when
+    a walk state reaches more than DEFAULT_PATTERN_CAP patterns.
+    """
     manager = Manager()
-    manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
-    groups: dict[frozenset[int], list[Cube]] = {}
-    for cube, outs in pla.entries:
-        groups.setdefault(outs, []).append(cube)
+    xs = manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
+    covered = or_all([manager.from_cube(cube) for cube, _ in pla.entries], manager)
+    state = (covered.node, *(f.node for f in to_functions(pla, manager, xs)))
+    nodes = manager._nodes
+    # terminals sit at level n, below every variable
+    levels = [pla.n, pla.n] + [lvl for lvl, _, _ in nodes[2:]]
+    regions = _regions(
+        state, nodes, levels, pla.n, manager._mk, {}, DEFAULT_PATTERN_CAP
+    )
+    # a mask has bit m-i set when output i is 1
+    by_outs = {
+        frozenset(pla.m - b for b in bit_positions(mask)): node
+        for mask, node in regions.items()
+    }
     entries: list[tuple[Cube, frozenset[int]]] = []
-    for outs in sorted(groups, key=lambda o: tuple(sorted(o))):
-        region = or_all([manager.from_cube(cube) for cube in groups[outs]], manager)
-        for cube in manager.enumerate_paths(region, pla.n):
+    for outs in sorted(by_outs, key=lambda o: tuple(sorted(o))):
+        for cube in manager.enumerate_paths(Func(manager, by_outs[outs]), pla.n):
             entries.append((cube, outs))
     return Pla(
         pla.n,
@@ -112,3 +141,45 @@ def post_compact(pla: Pla) -> Pla:
         output_names=pla.output_names,
         dsop_certified=True,
     )
+
+
+def _regions(
+    state: tuple[int, ...],
+    nodes: list[tuple[int, int, int]],
+    levels: list[int],
+    n: int,
+    mk,
+    memo: dict,
+    cap: int,
+) -> dict[int, int]:
+    """{pattern mask: region node} for one walk state (covered, f_1..f_m).
+
+    The regions are made with mk alone, bottom-up, so each is the canonical
+    node of its set; the empty pattern's region comes out as covered AND
+    NOT (f_1 OR ... OR f_m). The recursion is one frame per level.
+    """
+    if not state[0]:
+        return {}
+    got = memo.get(state)
+    if got is not None:
+        return got
+    top = min(map(levels.__getitem__, state))
+    if top == n:
+        mask = 0
+        for u in state[1:]:
+            mask = (mask << 1) | u
+        regions = {mask: 1}
+    else:
+        lo = tuple([nodes[u][1] if levels[u] == top else u for u in state])
+        hi = tuple([nodes[u][2] if levels[u] == top else u for u in state])
+        low = _regions(lo, nodes, levels, n, mk, memo, cap)
+        high = _regions(hi, nodes, levels, n, mk, memo, cap)
+        regions = {mask: mk(top, u, high.get(mask, 0)) for mask, u in low.items()}
+        for mask, v in high.items():
+            if mask not in low:
+                regions[mask] = mk(top, 0, v)
+    # every pattern below a state is a pattern of the root
+    if len(regions) > cap:
+        raise ResourceLimitError("more than %d output patterns enumerated" % cap)
+    memo[state] = regions
+    return regions

@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from .bdd import Func, Manager, or_all
 from .cube import bit_positions
-from .dsop import dsop
+from .dsop import DEFAULT_PATTERN_CAP, dsop
 from .errors import ResourceLimitError
 from .pla import Pla, function_source
 
@@ -27,8 +27,6 @@ METHOD_HEURISTIC_CUBE = "heuristic-cube"
 METHOD_EXACT_CUBE = "exact-cube"
 METHOD_EXACT_BDD = "exact-bdd"
 METHOD_BRUTE = "brute"
-
-DEFAULT_PATTERN_CAP = 1 << 20
 
 
 def ceil_log2(k: int) -> int:
@@ -82,36 +80,42 @@ def _finish(method: str, exact: bool, per_pattern: dict, m: int) -> LineReport:
 
 
 def heuristic_mu(pla: Pla) -> LineReport:
-    """Per-entry accumulation: each cube adds its on-set size to its own
-    output pattern's bucket. The empty pattern's bucket is then overwritten
-    with the exact OFF-set size: 2^n less the count of the union of the
-    rows that construct some output, which is the union of the m ON-sets.
-    Counts for patterns produced only by overlaps are over-estimates; the
-    maximum is an upper bound on mu, and exact when the Pla is
-    dsop-certified."""
+    """Per-entry accumulation with the exact OFF-set size. Counts for
+    patterns produced only by overlaps are over-estimates; the maximum is
+    an upper bound on mu, and exact when the Pla is dsop-certified."""
+    per = _cube_counts(pla, pla)
+    return _finish(METHOD_HEURISTIC_CUBE, pla.dsop_certified, per, pla.m)
+
+
+def exact_mu_cube(pla: Pla) -> LineReport:
+    """heuristic_mu's accumulation over dsop(pla). The OFF-set is counted
+    from pla's own rows: dsop keeps the union of the rows that construct
+    some output, so both give the same set from fewer cubes."""
+    per = _cube_counts(dsop(pla), pla)
+    return _finish(METHOD_EXACT_CUBE, True, per, pla.m)
+
+
+def _cube_counts(cover: Pla, rows: Pla) -> dict[frozenset[int], int]:
+    """Each entry of cover adds its cube's on-set size to its own output
+    pattern's bucket. The empty pattern's bucket is then overwritten with
+    the exact OFF-set size: 2^n less the count of the union of the rows
+    that construct some output, which is the union of the m ON-sets."""
     per: dict[frozenset[int], int] = {}
-    for cube, outs in pla.entries:
+    for cube, outs in cover.entries:
         per[outs] = per.get(outs, 0) + cube.on_size()
     manager = Manager()
-    manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
+    manager.add_vars("x%d" % (i + 1) for i in range(rows.n))
     on = or_all(
-        [manager.from_cube(cube) for cube, outs in pla.entries if outs], manager
+        [manager.from_cube(cube) for cube, outs in rows.entries if outs], manager
     )
-    off_count = (1 << pla.n) - manager.sat_count(on, pla.n)
+    off_count = (1 << rows.n) - manager.sat_count(on, rows.n)
     # rows that construct nothing were accumulated like any other; replace
     # that estimate with the true OFF-set size, dropping it when f is total
     if off_count:
         per[frozenset()] = off_count
     else:
         per.pop(frozenset(), None)
-    return _finish(METHOD_HEURISTIC_CUBE, pla.dsop_certified, per, pla.m)
-
-
-def exact_mu_cube(pla: Pla) -> LineReport:
-    report = heuristic_mu(dsop(pla))
-    report.method = METHOD_EXACT_CUBE
-    report.exact = True
-    return report
+    return per
 
 
 def exact_mu_bdd(

@@ -4,7 +4,17 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from revembed import Cube, DC, Func, Pla, and_all, cube_and, cube_sharp
+from revembed import (
+    DC,
+    Cube,
+    Func,
+    Manager,
+    Pla,
+    and_all,
+    cube_and,
+    cube_sharp,
+    or_all,
+)
 from revembed.pla import function_source
 
 
@@ -156,3 +166,30 @@ def hand_built_chi(rc, pla):
     for term in minterms:
         acc = acc | term
     return acc
+
+
+def reference_post_compact(pla: Pla) -> Pla:
+    """Per-pattern compaction of a disjoint Pla by grouping its entries.
+
+    Each exact output set's cubes are OR-ed into one BDD and re-read as one
+    cube per path; compact() must produce exactly this cube list from the
+    Pla that dsop() rewrote.
+    """
+    manager = Manager()
+    manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
+    groups: dict[frozenset[int], list[Cube]] = {}
+    for cube, outs in pla.entries:
+        groups.setdefault(outs, []).append(cube)
+    entries = []
+    for outs in sorted(groups, key=lambda o: tuple(sorted(o))):
+        region = or_all([manager.from_cube(cube) for cube in groups[outs]], manager)
+        for cube in manager.enumerate_paths(region, pla.n):
+            entries.append((cube, outs))
+    return Pla(
+        pla.n,
+        pla.m,
+        entries,
+        input_names=pla.input_names,
+        output_names=pla.output_names,
+        dsop_certified=True,
+    )

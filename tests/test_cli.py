@@ -306,6 +306,28 @@ class TestPlumbing:
         assert "resource limit" in err
         assert elapsed < 3
 
+    @pytest.mark.parametrize("timeout", ["0.000001", "0.000002", "0.000005", "0.00001"])
+    def test_tiny_timeouts_exit_2(self, capsys, timeout):
+        # the timer fires at once; it must land inside the guarded region
+        for _ in range(5):
+            code, out, err = run(
+                capsys, "--timeout", timeout, "lines", RUNNING, "--method", "exact-bdd"
+            )
+            assert (code, out) == (2, "")
+            assert err == "resource limit: timed out after %gs\n" % float(timeout)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dsop", RUNNING, "-o"], ["embed", RUNNING, "--exact", "-o"]],
+        ids=["dsop", "embed"],
+    )
+    def test_unwritable_output_exits_1(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out"
+        code, out, err = run(capsys, *argv, str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
     def test_console_script(self, tmp_path):
         script = console_script(tmp_path, "revembed")
         proc = run_script(script, "lines", RUNNING, "--method", "exact-bdd")

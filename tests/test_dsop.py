@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -8,15 +9,21 @@ from revembed import (
     DC,
     Cube,
     Pla,
+    ResourceLimitError,
     brute_dsop_check,
+    compact,
     cube_and,
+    data_path,
     dsop,
     parse_pla,
     post_compact,
     write_pla,
 )
 
-from helpers import random_pla, reference_dsop
+import revembed.cli as cli
+from helpers import random_pla, reference_dsop, reference_post_compact
+
+DSOP_MODULE = importlib.import_module("revembed.dsop")
 
 
 def entry_set(pla):
@@ -166,3 +173,42 @@ class TestAgainstReference:
             outs = frozenset(j + 1 for j in range(6) if rng.random() < 0.4)
             entries.append((Cube(bits), outs))
         self.assert_same(Pla(n, 6, entries))
+
+
+class TestCompact:
+    """compact() reads each pattern's region from one walk, without dsop()."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        n=st.integers(min_value=1, max_value=8),
+        m=st.integers(min_value=1, max_value=4),
+        max_cubes=st.integers(min_value=1, max_value=12),
+    )
+    def test_matches_compaction_of_the_rewrite(self, seed, n, m, max_cubes):
+        # random_pla draws rows with no outputs and leaves points uncovered
+        pla = random_pla(random.Random(seed), n, m, max_cubes)
+        got = compact(pla)
+        want = write_pla(reference_post_compact(dsop(pla)))
+        assert write_pla(got) == want
+        assert write_pla(post_compact(dsop(pla))) == want
+        assert brute_dsop_check(got, reference=pla)
+
+    def test_zero_output_rows_and_uncovered_points(self):
+        # x1 = 1 drives output 1; x1 = 0, x2 = 1 is covered by a row with
+        # no outputs; x1 = x2 = 0 is covered by no row
+        pla = parse_pla(".i 3\n.o 2\n1-- 10\n-1- 00\n.e\n")
+        got = compact(pla)
+        assert entry_set(got) == {("01-", ()), ("1--", (1,))}
+        assert brute_dsop_check(got, reference=pla)
+
+    def test_pattern_cap(self, running, monkeypatch, capsys):
+        # the worked example's covered inputs carry four patterns
+        monkeypatch.setattr(DSOP_MODULE, "DEFAULT_PATTERN_CAP", 4)
+        assert entry_set(compact(running)) == GOLDEN_COMPACT
+        monkeypatch.setattr(DSOP_MODULE, "DEFAULT_PATTERN_CAP", 3)
+        with pytest.raises(ResourceLimitError):
+            compact(running)
+        running_path = str(data_path("running_example.pla"))
+        assert cli.main(["dsop", running_path, "--compact"]) == 2
+        assert capsys.readouterr().err.startswith("resource limit")
