@@ -15,20 +15,23 @@ A cube meets slot k exactly when bit k survives the AND of compat[b][i]
 over its literals (i, b), so the lowest surviving bit is the first overlap
 in list order, the same one a front-to-back scan would find.
 
-compact() gives a smaller disjoint cover without running dsop(): one
-memoised walk over covered = OR of every row's cube and the m output BDDs
-together, as in Bryant's (1986) simultaneous traversal, maps each output
-pattern to the BDD of its region, the inputs whose covering rows construct
-exactly that pattern. This is Wille, Keszocze and Drechsler's (DATE 2011)
-partition of B^n by pattern, restricted to the covered inputs; each region
-is then read out as one cube per root-to-1 path. post_compact() is the same
-rewrite for a Pla that dsop() has already certified.
+compact() gives a smaller disjoint cover without running dsop(). It and
+linecount.exact_mu_bdd() read Wille, Keszocze and Drechsler's (DATE 2011)
+partition of B^n by output pattern from pattern_split(): one memoised walk
+over a tuple of BDDs together, as in Bryant's (1986) simultaneous
+traversal, that builds one value per pattern bottom-up with the caller's
+join. compact() walks covered = OR of every row's cube with the m output
+BDDs and joins with the node constructor, so each value is a pattern's
+region: the inputs whose covering rows construct exactly that pattern.
+Each region is read out as one cube per root-to-1 path. post_compact() is
+the same rewrite for a Pla that dsop() has already certified.
 """
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
-from .bdd import Func, Manager, or_all
+from .bdd import Manager, or_all
 from .cube import Cube, bit_positions, cube_and, cube_sharp
 from .errors import ResourceLimitError
 from .pla import Pla, to_functions
@@ -118,21 +121,11 @@ def compact(pla: Pla) -> Pla:
     xs = manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
     covered = or_all([manager.from_cube(cube) for cube, _ in pla.entries], manager)
     state = (covered.node, *(f.node for f in to_functions(pla, manager, xs)))
-    nodes = manager._nodes
-    # terminals sit at level n, below every variable
-    levels = [pla.n, pla.n] + [lvl for lvl, _, _ in nodes[2:]]
-    regions = _regions(
-        state, nodes, levels, pla.n, manager._mk, {}, DEFAULT_PATTERN_CAP
-    )
-    # a mask has bit m-i set when output i is 1
-    by_outs = {
-        frozenset(pla.m - b for b in bit_positions(mask)): node
-        for mask, node in regions.items()
-    }
+    regions = pattern_split(state, manager._nodes, pla.n, manager._mk, 1)
     entries: list[tuple[Cube, frozenset[int]]] = []
-    for outs in sorted(by_outs, key=lambda o: tuple(sorted(o))):
-        for cube in manager.enumerate_paths(Func(manager, by_outs[outs]), pla.n):
-            entries.append((cube, outs))
+    # every level is an input, so the paths need no support check
+    for outs in sorted(regions, key=lambda o: tuple(sorted(o))):
+        entries += [(cube, outs) for cube in manager._paths(regions[outs], pla.n)]
     return Pla(
         pla.n,
         pla.m,
@@ -143,20 +136,51 @@ def compact(pla: Pla) -> Pla:
     )
 
 
-def _regions(
+def pattern_split(
+    state: tuple[int, ...],
+    nodes: list[tuple[int, int, int]],
+    n: int,
+    join: Callable[[int, int, int], int],
+    one: int,
+) -> dict[frozenset[int], int]:
+    """{output set: value} for the walk of state = (covered, f_1..f_m).
+
+    nodes is a node table over the n levels 0..n-1. An input's pattern is
+    the set of outputs i with f_i = 1, and only inputs where covered = 1
+    count. A leaf's pattern has the value one, and a state's value for a
+    pattern joins its cofactors' values with join(level, lo, hi), a
+    pattern missing from a cofactor giving 0 there. Patterns come in
+    ascending order of the walk's masks: branching on output 1 first, low
+    first. Raises ResourceLimitError when a walk state reaches more than
+    DEFAULT_PATTERN_CAP patterns.
+    """
+    # terminals sit at level n, below every variable
+    levels = [n, n] + [lvl for lvl, _, _ in nodes[2:]]
+    cap = DEFAULT_PATTERN_CAP
+    values = _pattern_walk(state, nodes, levels, n, join, one, {}, cap)
+    m = len(state) - 1
+    # a mask has bit m-i set when output i is 1
+    return {
+        frozenset(m - b for b in bit_positions(mask)): values[mask]
+        for mask in sorted(values)
+    }
+
+
+def _pattern_walk(
     state: tuple[int, ...],
     nodes: list[tuple[int, int, int]],
     levels: list[int],
     n: int,
-    mk,
+    join: Callable[[int, int, int], int],
+    one: int,
     memo: dict,
     cap: int,
 ) -> dict[int, int]:
-    """{pattern mask: region node} for one walk state (covered, f_1..f_m).
+    """{pattern mask: value} for one walk state, as in pattern_split.
 
-    The regions are made with mk alone, bottom-up, so each is the canonical
-    node of its set; the empty pattern's region comes out as covered AND
-    NOT (f_1 OR ... OR f_m). The recursion is one frame per level.
+    The state splits at its top level into the tuples of low and high
+    cofactors, as in Bryant's (1986) simultaneous traversal, and equal
+    states are shared. The recursion is one frame per level.
     """
     if not state[0]:
         return {}
@@ -168,18 +192,18 @@ def _regions(
         mask = 0
         for u in state[1:]:
             mask = (mask << 1) | u
-        regions = {mask: 1}
+        values = {mask: one}
     else:
         lo = tuple([nodes[u][1] if levels[u] == top else u for u in state])
         hi = tuple([nodes[u][2] if levels[u] == top else u for u in state])
-        low = _regions(lo, nodes, levels, n, mk, memo, cap)
-        high = _regions(hi, nodes, levels, n, mk, memo, cap)
-        regions = {mask: mk(top, u, high.get(mask, 0)) for mask, u in low.items()}
+        low = _pattern_walk(lo, nodes, levels, n, join, one, memo, cap)
+        high = _pattern_walk(hi, nodes, levels, n, join, one, memo, cap)
+        values = {mask: join(top, u, high.get(mask, 0)) for mask, u in low.items()}
         for mask, v in high.items():
             if mask not in low:
-                regions[mask] = mk(top, 0, v)
+                values[mask] = join(top, 0, v)
     # every pattern below a state is a pattern of the root
-    if len(regions) > cap:
+    if len(values) > cap:
         raise ResourceLimitError("more than %d output patterns enumerated" % cap)
-    memo[state] = regions
-    return regions
+    memo[state] = values
+    return values

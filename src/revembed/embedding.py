@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .bdd import Func, Manager, and_all, or_all
-from .cube import DC, Cube
+from .cube import Cube
 from .errors import ResourceLimitError
 from .linecount import heuristic_mu
 from .pla import Pla, characteristic, function_source
@@ -36,6 +36,10 @@ ROLE_CONSTANT = "constant"
 ROLE_INPUT = "input"
 ROLE_OUTPUT = "output"
 ROLE_GARBAGE = "garbage"
+
+# most cells, rows times columns, an extended PLA dump may hold: one row of
+# a 20,000-input Bennett relation alone has 40,004 cells
+MAX_DUMP_CELLS = 1 << 22
 
 
 @dataclass
@@ -450,20 +454,27 @@ def to_extended_pla(rcbdd: RcBdd, max_rows: int = 1 << 16) -> str:
     One row per BDD path: the input plane is the p constant columns then
     the n input columns; the output plane is the m output columns then the
     ell garbage columns. Output-plane cells are values (0/1/-), not
-    fd-style constructing sets; rows are pairwise disjoint.
+    fd-style constructing sets; rows are pairwise disjoint. Raises
+    ResourceLimitError before a row that would pass max_rows rows or
+    MAX_DUMP_CELLS cells.
     """
-    manager = rcbdd.manager
+    width = 2 * rcbdd.r
     in_levels = rcbdd.kappa + rcbdd.xs
     out_levels = rcbdd.ys + rcbdd.gammas
-    char = {0: "0", 1: "1", DC: "-"}
     rows = []
-    for path in manager.enumerate_paths(rcbdd.chi, 2 * rcbdd.r):
+    for path in rcbdd.manager.enumerate_paths(rcbdd.chi, width):
         if len(rows) >= max_rows:
             raise ResourceLimitError(
                 "extended PLA dump exceeds %d rows" % max_rows
             )
-        inp = "".join(char[path[l]] for l in in_levels)
-        outp = "".join(char[path[l]] for l in out_levels)
+        if (len(rows) + 1) * width > MAX_DUMP_CELLS:
+            raise ResourceLimitError(
+                "extended PLA dump exceeds %d cells" % MAX_DUMP_CELLS
+            )
+        # one cell per level, in level order
+        cells = str(path)
+        inp = "".join([cells[l] for l in in_levels])
+        outp = "".join([cells[l] for l in out_levels])
         rows.append("%s %s" % (inp, outp))
     lines = [
         "# embedding relation: %d constant + %d input columns ->"

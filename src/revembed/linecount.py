@@ -9,8 +9,9 @@ n + m is the generic upper bound). Three routes are provided:
                     the cube list is already disjoint,
 * exact_mu_cube  -- disjoint rewriting first, then the same accumulation,
 * exact_mu_bdd   -- one memoised walk over the m output BDDs together,
-                    which splits B^n by output pattern without building
-                    the characteristic function chi(x, y).
+                    the one compact() reads its regions from, which
+                    splits B^n by output pattern without building the
+                    characteristic function chi(x, y).
 """
 from __future__ import annotations
 
@@ -18,9 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .bdd import Func, Manager, or_all
-from .cube import bit_positions
-from .dsop import DEFAULT_PATTERN_CAP, dsop
-from .errors import ResourceLimitError
+from .dsop import dsop, pattern_split
 from .pla import Pla, function_source
 
 METHOD_HEURISTIC_CUBE = "heuristic-cube"
@@ -119,76 +118,31 @@ def _cube_counts(cover: Pla, rows: Pla) -> dict[frozenset[int], int]:
 
 
 def exact_mu_bdd(
-    source: Union[Pla, list[Func]],
-    n: Optional[int] = None,
-    pattern_cap: int = DEFAULT_PATTERN_CAP,
+    source: Union[Pla, list[Func]], n: Optional[int] = None
 ) -> LineReport:
     """Exact per-pattern counts from one walk over all m output BDDs.
 
     The functions are placed on a fresh manager over the n inputs alone and
-    walked together, as in Bryant's (1986) simultaneous traversal: a state
-    is the tuple of the m current nodes, split at its top level into the
-    tuples of low and high cofactors. Each state maps the output patterns
-    reachable below it to their input counts, and equal states are shared.
-    This is the partition of B^n by pattern that Wille, Keszocze and
-    Drechsler (DATE 2011) read off chi(x, y) with the y levels on top,
-    reached without building chi. Raises ResourceLimitError when there are
-    more than pattern_cap patterns.
+    walked together by dsop.pattern_split, the walk compact() reads its
+    regions from, with every input covered. This is the partition of B^n
+    by pattern that Wille, Keszocze and Drechsler (DATE 2011) read off
+    chi(x, y) with the y levels on top, reached without building chi.
+    Raises ResourceLimitError when there are more than
+    dsop.DEFAULT_PATTERN_CAP patterns.
     """
     n, m, place = function_source(source, n)
     manager = Manager()
-    xs = [manager.add_var("x%d" % (i + 1)) for i in range(n)]
-    state = tuple(f.node for f in place(manager, xs))
+    xs = manager.add_vars("x%d" % (i + 1) for i in range(n))
+    state = (1, *(f.node for f in place(manager, xs)))
     nodes = manager._nodes
-    # terminals sit at level n, so a skipped level count is a difference
-    levels = [n, n] + [lvl for lvl, _, _ in nodes[2:]]
-    top, counts = _pattern_counts(state, nodes, levels, n, {}, pattern_cap)
-    # output 1 is the mask's highest bit, so ascending masks list patterns
-    # in the order of a walk that branches on output 1 first, low first
-    per = {
-        frozenset(m - b for b in bit_positions(mask)): counts[mask] << top
-        for mask in sorted(counts)
-    }
+    # the walk reads only the node table: free the unique and computed
+    # tables before it runs
+    del manager
+    # a value is a state's count over its levels top..n-1 scaled by 2^top,
+    # so a join is exact whatever levels the cofactors skip
+    per = pattern_split(state, nodes, n, _mean, 1 << n)
     return _finish(METHOD_EXACT_BDD, True, per, m)
 
 
-def _pattern_counts(
-    state: tuple[int, ...],
-    nodes: list[tuple[int, int, int]],
-    levels: list[int],
-    n: int,
-    memo: dict,
-    cap: int,
-) -> tuple[int, dict[int, int]]:
-    """(top, {pattern mask: count}) for one walk state.
-
-    top is the state's top level (n when every member is a terminal), and
-    each count is over the levels top..n-1. A mask has bit m-i set when
-    output i is 1. The recursion is one frame per level, as deep as
-    to_functions' own.
-    """
-    got = memo.get(state)
-    if got is not None:
-        return got
-    top = min(map(levels.__getitem__, state), default=n)
-    if top == n:
-        mask = 0
-        for u in state:
-            mask = (mask << 1) | u
-        counts = {mask: 1}
-    else:
-        lo = tuple([nodes[u][1] if levels[u] == top else u for u in state])
-        hi = tuple([nodes[u][2] if levels[u] == top else u for u in state])
-        below, sub = _pattern_counts(lo, nodes, levels, n, memo, cap)
-        skip = below - top - 1
-        counts = {mask: count << skip for mask, count in sub.items()}
-        below, sub = _pattern_counts(hi, nodes, levels, n, memo, cap)
-        skip = below - top - 1
-        get = counts.get
-        for mask, count in sub.items():
-            counts[mask] = get(mask, 0) + (count << skip)
-    # every pattern below a state is a pattern of the root
-    if len(counts) > cap:
-        raise ResourceLimitError("more than %d output patterns enumerated" % cap)
-    memo[state] = got = (top, counts)
-    return got
+def _mean(level: int, lo: int, hi: int) -> int:
+    return (lo + hi) >> 1

@@ -211,6 +211,20 @@ class TestEmbed:
         assert err.startswith("resource limit:")
         assert err.count("\n") == 1
 
+    def test_wide_pla_dump_exits_2(self, capsys, tmp_path):
+        # every Bennett row has 4,004 cells: the dump's cell budget ends it
+        # long before its row cap
+        n = 2000
+        wide = tmp_path / "wide.pla"
+        wide.write_text(two_cube_pla(n))
+        code, out, err = run(
+            capsys, "embed", str(wide), "--bennett", "--format", "pla"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("resource limit:")
+        assert err.count("\n") == 1
+
     def test_bennett_build_is_not_capped_by_the_width(self, capsys, tmp_path):
         # building chi recurses only through the output BDDs, not per line
         n = 20000

@@ -212,3 +212,6 @@ class TestCompact:
         running_path = str(data_path("running_example.pla"))
         assert cli.main(["dsop", running_path, "--compact"]) == 2
         assert capsys.readouterr().err.startswith("resource limit")
+        # the exact-bdd count runs the same walk under the same cap
+        assert cli.main(["lines", running_path, "--method", "exact-bdd"]) == 2
+        assert capsys.readouterr().err.startswith("resource limit")

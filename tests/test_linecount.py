@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -23,6 +24,8 @@ from revembed import (
 )
 
 from helpers import random_pla
+
+DSOP_MODULE = importlib.import_module("revembed.dsop")
 
 
 def pattern_map(report):
@@ -91,14 +94,17 @@ class TestExactBddInputs:
         rep = exact_mu_bdd(funcs, n=running.n)
         assert pattern_map(rep) == RUNNING_EXACT
 
-    def test_pattern_cap(self, running):
+    def test_pattern_cap(self, running, monkeypatch):
+        monkeypatch.setattr(DSOP_MODULE, "DEFAULT_PATTERN_CAP", 2)
         with pytest.raises(ResourceLimitError):
-            exact_mu_bdd(running, pattern_cap=2)
+            exact_mu_bdd(running)
 
-    def test_pattern_cap_is_the_largest_allowed_count(self, running):
-        assert pattern_map(exact_mu_bdd(running, pattern_cap=5)) == RUNNING_EXACT
+    def test_pattern_cap_is_the_largest_allowed_count(self, running, monkeypatch):
+        monkeypatch.setattr(DSOP_MODULE, "DEFAULT_PATTERN_CAP", 5)
+        assert pattern_map(exact_mu_bdd(running)) == RUNNING_EXACT
+        monkeypatch.setattr(DSOP_MODULE, "DEFAULT_PATTERN_CAP", 4)
         with pytest.raises(ResourceLimitError):
-            exact_mu_bdd(running, pattern_cap=4)
+            exact_mu_bdd(running)
 
     def test_empty_function_list(self):
         assert exact_mu_bdd([], n=3).per_pattern == {frozenset(): 8}

@@ -5,12 +5,13 @@ Usage: python3 tools/cli_digest.py SRC_DIR
 Imports ``revembed`` from SRC_DIR (the ``src`` directory of a checkout) and
 runs a fixed list of commands in-process on the shipped PLAs and on the
 ``perfbench/corpus`` covers with 16 or fewer inputs, plus the ``lines``
-counts of the wider covers in ``WIDE_COVERS`` and the Bennett embedding of
-the benchmark's two-cube PLA with ``PAIR_INPUTS`` inputs. For each command it
-prints one line: the exit code, the md5 of stdout, and the command. Two
-checkouts produce identical output exactly when every command exits the same
-way and writes the same bytes, ``--format dot`` node ids included. ``bench``
-output has its wall-clock ``seconds`` fields dropped before hashing.
+counts of the wider covers in ``WIDE_COVERS`` and the Bennett embedding and
+exact-bdd count of the benchmark's two-cube PLA with ``PAIR_INPUTS`` inputs.
+For each command it prints one line: the exit code, the md5 of stdout, and
+the command. Two checkouts produce identical output exactly when every
+command exits the same way and writes the same bytes, ``--format dot`` node
+ids included. ``bench`` output has its wall-clock ``seconds`` fields dropped
+before hashing.
 
 A ``--format dot`` line that exits 0 carries a second md5, ``dot:<md5>``
 before the command, over the dot text with its node ids renumbered
@@ -57,10 +58,12 @@ WIDE_FILE = [
 ]
 
 # x1 = 1 drives output 1 and the last input output 2: every x/g level of
-# the Bennett relation is a plain copy, which a wide input stresses
+# the Bennett relation is a plain copy, which a wide input stresses, and the
+# exact-bdd count's walk skips all levels between the two
 PAIR_INPUTS = 300
 PAIR_FILE = [
-    ["embed", "--bennett", "--verify", "--format", fmt] for fmt in ("json", "dot")
+    *(["embed", "--bennett", "--verify", "--format", fmt] for fmt in ("json", "dot")),
+    ["lines", "--method", "exact-bdd"],
 ]
 
 GEN = [
