@@ -13,13 +13,12 @@ from pathlib import Path
 
 from .bdd import Func, Manager, and_all, or_all
 from .benchgen import redundancy, restricted_growth
-from .cube import DC, Cube, cube_and, cube_sharp
+from .cube import Cube, cube_and, cube_sharp
 from .dsop import compact, dsop, post_compact
 from .embedding import (
     RcBdd,
     VerifyReport,
     complete_offset,
-    cube_of,
     embed_bennett,
     embed_exact,
     ordering_comparison,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cube",
-    "DC",
     "Func",
     "LineReport",
     "Manager",
@@ -68,7 +66,6 @@ __all__ = [
     "compact",
     "complete_offset",
     "cube_and",
-    "cube_of",
     "cube_sharp",
     "data_path",
     "dsop",

@@ -363,7 +363,7 @@ class Manager:
             care |= bit
             if int(v):
                 value |= bit
-        return self.from_cube(Cube.from_masks(len(self._names), care, value))
+        return self.from_cube(Cube(len(self._names), care, value))
 
     def transfer(self, f: Func, var_map: dict) -> Func:
         """Rebuild a foreign Func inside this manager.
@@ -481,7 +481,7 @@ class Manager:
         while stack:
             x, care, value = stack.pop()
             if x == 1:
-                yield Cube.from_masks(n, care, value)
+                yield Cube(n, care, value)
             elif x:
                 lvl, lo, hi = self._nodes[x]
                 bit = 1 << lvl

@@ -7,6 +7,8 @@ requested verification failed.
 
 The --timeout budget is a SIGALRM timer, so main() enforces it only when
 called on the main thread; called from any other thread it runs unbounded.
+It must be a finite number of seconds in (0, MAX_TIMEOUT]; any other value
+is a usage error.
 """
 from __future__ import annotations
 
@@ -39,6 +41,9 @@ EXIT_USAGE = 1
 EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
 
+# about 31 years; the interval timer overflows past 9.2e9 s
+MAX_TIMEOUT = 1e9
+
 
 # `lines --method` names; each entry looks its function up when called, so
 # rebinding a module-level name (a test's monkeypatch, a tracer) is seen
@@ -60,13 +65,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _checked(convert, ok, expected: str):
+    """An argparse type: convert the text, then keep only values ok takes."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
+
+    return parse
+
+
+_count = _checked(int, lambda c: c >= 0, "a non-negative integer")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="revembed", description=__doc__)
     parser.add_argument(
         "--timeout",
-        type=float,
+        # nan fails both comparisons
+        type=_checked(float, lambda s: 0 < s <= MAX_TIMEOUT, "seconds in (0, 1e9]"),
         default=5000.0,
-        help="wall-clock budget in seconds (default 5000)",
+        help="wall-clock budget in seconds, in (0, 1e9] (default 5000)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="seed for randomized paths"
@@ -115,12 +139,12 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("directory")
     p_bench.add_argument(
         "--ordering-study",
-        type=int,
+        type=_count,
         default=0,
         metavar="LINES",
         help="also compare orders on random reversible functions",
     )
-    p_bench.add_argument("--samples", type=int, default=20)
+    p_bench.add_argument("--samples", type=_count, default=20)
     return parser
 
 
@@ -282,7 +306,6 @@ def main(argv=None) -> int:
     use_alarm = (
         hasattr(signal, "SIGALRM")
         and threading.current_thread() is threading.main_thread()
-        and args.timeout > 0
     )
     handler = {
         "lines": _cmd_lines,

@@ -37,8 +37,9 @@ ROLE_INPUT = "input"
 ROLE_OUTPUT = "output"
 ROLE_GARBAGE = "garbage"
 
-# most cells, rows times columns, an extended PLA dump may hold: one row of
-# a 20,000-input Bennett relation alone has 40,004 cells
+# most rows, and most cells (rows times columns), an extended PLA dump may
+# hold: one row of a 20,000-input Bennett relation alone has 40,004 cells
+MAX_DUMP_ROWS = 1 << 16
 MAX_DUMP_CELLS = 1 << 22
 
 
@@ -107,11 +108,6 @@ class VerifyReport:
             "total": self.total,
             "projects": self.projects,
         }
-
-
-def cube_of(outputs: frozenset[int], manager: Manager, ys: list[int]) -> Func:
-    """Minterm cube over the y variables selecting one output pattern."""
-    return manager.cube({y: 1 if i + 1 in outputs else 0 for i, y in enumerate(ys)})
 
 
 def _add_interleaved(
@@ -448,14 +444,14 @@ def verify(rcbdd: RcBdd, source: Union[Pla, list[Func]]) -> VerifyReport:
     )
 
 
-def to_extended_pla(rcbdd: RcBdd, max_rows: int = 1 << 16) -> str:
+def to_extended_pla(rcbdd: RcBdd) -> str:
     """Relational dump of chi as an extended PLA.
 
     One row per BDD path: the input plane is the p constant columns then
     the n input columns; the output plane is the m output columns then the
     ell garbage columns. Output-plane cells are values (0/1/-), not
     fd-style constructing sets; rows are pairwise disjoint. Raises
-    ResourceLimitError before a row that would pass max_rows rows or
+    ResourceLimitError before a row that would pass MAX_DUMP_ROWS rows or
     MAX_DUMP_CELLS cells.
     """
     width = 2 * rcbdd.r
@@ -463,9 +459,9 @@ def to_extended_pla(rcbdd: RcBdd, max_rows: int = 1 << 16) -> str:
     out_levels = rcbdd.ys + rcbdd.gammas
     rows = []
     for path in rcbdd.manager.enumerate_paths(rcbdd.chi, width):
-        if len(rows) >= max_rows:
+        if len(rows) >= MAX_DUMP_ROWS:
             raise ResourceLimitError(
-                "extended PLA dump exceeds %d rows" % max_rows
+                "extended PLA dump exceeds %d rows" % MAX_DUMP_ROWS
             )
         if (len(rows) + 1) * width > MAX_DUMP_CELLS:
             raise ResourceLimitError(

@@ -13,7 +13,6 @@ from typing import Union
 import numpy as np
 
 from .bdd import Func
-from .cube import DC
 from .embedding import RcBdd, VerifyReport
 from .errors import ResourceLimitError
 from .linecount import METHOD_BRUTE, LineReport, ceil_log2
@@ -38,11 +37,7 @@ def tables_from_pla(pla: Pla) -> np.ndarray:
     rows = np.arange(1 << pla.n, dtype=np.int64)
     tables = np.zeros((pla.m, 1 << pla.n), dtype=bool)
     for cube, outs in pla.entries:
-        mask = val = 0
-        for pos, bit in cube.literals():
-            mask |= 1 << pos
-            val |= bit << pos
-        covered = (rows & mask) == val
+        covered = (rows & cube.care) == cube.value
         for o in outs:
             tables[o - 1] |= covered
     return tables
@@ -124,14 +119,11 @@ def brute_mu(source: Union[Pla, list[Func]], n: int = None) -> LineReport:
 def brute_dsop_check(pla: Pla, reference: Pla = None) -> bool:
     """Pairwise cube disjointness, plus semantic equality to a reference
     Pla when one is given."""
-    for i, (a, _) in enumerate(pla.entries):
-        for b, _ in pla.entries[i + 1:]:
-            meet_found = True
-            for x, y in zip(a.bits, b.bits):
-                if x != DC and y != DC and x != y:
-                    meet_found = False
-                    break
-            if meet_found:
+    texts = [str(cube) for cube, _ in pla.entries]
+    for i, a in enumerate(texts):
+        for b in texts[i + 1:]:
+            # two cubes meet unless some position holds opposite literals
+            if all(x == y or "-" in (x, y) for x, y in zip(a, b)):
                 return False
     if reference is not None:
         if (pla.n, pla.m) != (reference.n, reference.m):
@@ -159,13 +151,10 @@ def brute_verify(
 
     entries = []
     for path in manager.enumerate_paths(rcbdd.chi, 2 * r):
-        free = path.dc_positions()
-        for completion in product((0, 1), repeat=len(free)):
-            bits = list(path.bits)
-            for pos, bit in zip(free, completion):
-                bits[pos] = bit
-            inp = sum(bits[l] << i for i, l in enumerate(in_levels))
-            outp = sum(bits[l] << i for i, l in enumerate(out_levels))
+        # one completion per choice of "0" or "1" at each "-" of the path
+        for bits in product(*[("0", "1") if ch == "-" else ch for ch in str(path)]):
+            inp = sum(int(bits[l]) << i for i, l in enumerate(in_levels))
+            outp = sum(int(bits[l]) << i for i, l in enumerate(out_levels))
             entries.append((inp, outp))
             if len(entries) > max_entries:
                 raise ResourceLimitError("relation expansion too large")

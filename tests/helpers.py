@@ -5,7 +5,6 @@ import random
 from collections import deque
 
 from revembed import (
-    DC,
     Cube,
     Func,
     Manager,
@@ -21,24 +20,20 @@ from revembed.pla import function_source
 def cube_points(cube: Cube) -> set[int]:
     """All minterms a cube covers, as integers with x1 in bit 0."""
     pts = {0}
-    for pos in range(len(cube)):
-        bit = cube[pos]
-        if bit == DC:
+    for pos, ch in enumerate(str(cube)):
+        if ch == "-":
             pts = {p | (v << pos) for p in pts for v in (0, 1)}
-        elif bit == 1:
+        elif ch == "1":
             pts = {p | (1 << pos) for p in pts}
     return pts
 
 
 def pla_truth(pla: Pla) -> dict[int, frozenset[int]]:
     """Point -> output pattern map by direct cube cover."""
-    table = {}
-    for x in range(1 << pla.n):
-        outs = set()
-        for cube, pat in pla.entries:
-            if cube.covers(x):
-                outs |= pat
-        table[x] = frozenset(outs)
+    table = dict.fromkeys(range(1 << pla.n), frozenset())
+    for cube, pat in pla.entries:
+        for x in cube_points(cube):
+            table[x] |= pat
     return table
 
 
@@ -93,11 +88,10 @@ def two_cube_pla(n: int) -> str:
 def random_pla(rng: random.Random, n: int, m: int, max_cubes: int) -> Pla:
     entries = []
     for _ in range(rng.randint(1, max_cubes)):
-        bits = tuple(
-            rng.choice((0, 1, DC, DC)) for _ in range(n)
-        )  # bias toward wide cubes
+        # bias toward wide cubes
+        text = "".join([rng.choice("01--") for _ in range(n)])
         outs = frozenset(j + 1 for j in range(m) if rng.random() < 0.4)
-        entries.append((Cube(bits), outs))
+        entries.append((Cube.parse(text), outs))
     return Pla(n, m, entries)
 
 
@@ -146,7 +140,7 @@ def hand_built_chi(rc, pla):
     minterms = []
     for cube, outs in pla.entries:
         base = offsets.get(outs, 0)
-        dcs = cube.dc_positions()
+        dcs = [pos for pos, ch in enumerate(str(cube)) if ch == "-"]
         for rank in range(cube.on_size()):
             point = dict(cube.literals())
             for i, d in enumerate(dcs):

@@ -15,6 +15,8 @@ from revembed import (
     redundancy,
 )
 
+from helpers import cube_points
+
 
 @pytest.fixture
 def mgr():
@@ -270,7 +272,7 @@ class TestCounting:
         limit = sys.getrecursionlimit()
         try:
             manager.add_vars("x%d" % i for i in range(n))
-            cube = Cube.from_masks(n, (1 << n) - 1, int("10" * (n // 2), 2))
+            cube = Cube(n, (1 << n) - 1, int("10" * (n // 2), 2))
             f = manager.from_cube(cube)
             assert manager.sat_count(f, n) == 1
             assert manager.sat_count(f, n + 3) == 8
@@ -286,10 +288,7 @@ class TestCounting:
         paths = list(mgr.enumerate_paths(f, 4))
         total = set()
         for cube in paths:
-            pts = set()
-            for point in range(16):
-                if cube.covers(point):
-                    pts.add(point)
+            pts = cube_points(cube)
             assert not (pts & total), "paths must be disjoint"
             total |= pts
         want = {

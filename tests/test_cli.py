@@ -292,6 +292,16 @@ class TestBench:
         code, _, err = run(capsys, "bench", RUNNING)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "option,value", [("--ordering-study", "-1"), ("--samples", "-3")]
+    )
+    def test_negative_counts_are_usage_errors(self, capsys, option, value):
+        directory = str(revembed.data_path("running_example.pla").parent)
+        code, out, err = run(capsys, "bench", directory, option, value)
+        assert (code, out) == (1, "")
+        want = "error: argument %s: expected a non-negative integer, got %r\n"
+        assert err == want % (option, value)
+
 
 class TestPlumbing:
     def test_no_command_is_usage_error(self, capsys):
@@ -329,6 +339,18 @@ class TestPlumbing:
             )
             assert (code, out) == (2, "")
             assert err == "resource limit: timed out after %gs\n" % float(timeout)
+
+    @pytest.mark.parametrize("timeout", ["inf", "1e10", "nan", "0", "-1"])
+    def test_timeout_the_timer_cannot_hold_exits_1(self, capsys, timeout):
+        code, out, err = run(capsys, "--timeout", timeout, "lines", RUNNING)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --timeout: ")
+        assert err.count("\n") == 1
+
+    def test_largest_timeout_is_armed(self, capsys):
+        timeout = "%g" % cli.MAX_TIMEOUT
+        code, out, err = run(capsys, "--timeout", timeout, "lines", RUNNING)
+        assert (code, err) == (0, "") and json.loads(out)["method"] == "heuristic-cube"
 
     @pytest.mark.parametrize(
         "argv",

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revembed import (
-    DC,
     Cube,
     Pla,
     ResourceLimitError,
@@ -169,9 +168,9 @@ class TestAgainstReference:
         rng = random.Random(seed)
         entries = []
         for _ in range(cubes):
-            bits = [rng.choice((0, 1, DC, DC, DC)) for _ in range(n)]
+            text = "".join([rng.choice("01---") for _ in range(n)])
             outs = frozenset(j + 1 for j in range(6) if rng.random() < 0.4)
-            entries.append((Cube(bits), outs))
+            entries.append((Cube.parse(text), outs))
         self.assert_same(Pla(n, 6, entries))
 
 

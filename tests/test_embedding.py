@@ -6,13 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from revembed import (
-    DC,
     Cube,
     Manager,
     ResourceLimitError,
     brute_verify,
     complete_offset,
-    cube_of,
     dsop,
     embed_bennett,
     embed_exact,
@@ -62,15 +60,6 @@ class TestInc:
                 manager.eval(word[i], bits) << i for i in range(w)
             )
             assert got == (value + times) % (1 << w)
-
-
-class TestCubeOf:
-    def test_selects_pattern(self):
-        manager = Manager()
-        ys = manager.add_vars(["y1", "y2", "y3"])
-        f = cube_of(frozenset({1, 3}), manager, ys)
-        assert manager.eval(f, [1, 0, 1]) == 1
-        assert manager.sat_count(f, 3) == 1
 
 
 class TestEmbedExact:
@@ -139,7 +128,7 @@ def _chained_entry(manager, kappa, xs, ys, gammas, cube, outs, offset):
     literals.update({k: 0 for k in kappa})
     literals.update({y: 1 if i + 1 in outs else 0 for i, y in enumerate(ys)})
     entry = manager.cube(literals)
-    dcs = cube.dc_positions()
+    dcs = [pos for pos, ch in enumerate(str(cube)) if ch == "-"]
     for i, d in enumerate(dcs):
         entry = entry & manager.var(xs[d]).xnor(word[i])
     for i in range(len(dcs), ell):
@@ -149,26 +138,26 @@ def _chained_entry(manager, kappa, xs, ys, gammas, cube, outs, offset):
 
 @st.composite
 def _entry_draws(draw):
-    """(cube bits, p, m, outs, ell, offset) with offset + #on(cube) <= 2^ell."""
+    """(cube text, p, m, outs, ell, offset) with offset + #on(cube) <= 2^ell."""
     n = draw(st.integers(1, 6))
-    bits = tuple(draw(st.lists(st.sampled_from((0, 1, DC)), min_size=n, max_size=n)))
-    dc_count = bits.count(DC)
+    text = "".join(draw(st.lists(st.sampled_from("01-"), min_size=n, max_size=n)))
+    dc_count = text.count("-")
     m = draw(st.integers(0, 2))
     outs = frozenset(draw(st.sets(st.integers(1, m))) if m else ())
     ell = draw(st.integers(dc_count, n + 2))
     offset = draw(st.integers(0, (1 << ell) - (1 << dc_count)))
-    return bits, draw(st.integers(0, 2)), m, outs, ell, offset
+    return text, draw(st.integers(0, 2)), m, outs, ell, offset
 
 
 class TestEntryBuilder:
     @settings(max_examples=300, deadline=None)
     @given(_entry_draws())
     # n > ell leaves x-only levels at the bottom, ell > n g-only levels
-    @example(((1, DC, 0, DC, 1, 1), 0, 1, frozenset({1}), 3, 3))
-    @example(((DC, DC), 1, 2, frozenset({2}), 5, 27))
+    @example(("1-0-11", 0, 1, frozenset({1}), 3, 3))
+    @example(("--", 1, 2, frozenset({2}), 5, 27))
     def test_matches_inc_chain(self, draw):
-        bits, p, m, outs, ell, offset = draw
-        cube = Cube(bits)
+        text, p, m, outs, ell, offset = draw
+        cube = Cube.parse(text)
         manager, kappa, xs, ys, gammas = _embedding_manager(p, m, cube.n, ell)
         direct = _entry_builder(manager, kappa, xs, ys, gammas)(cube, outs, offset)
         chained = _chained_entry(manager, kappa, xs, ys, gammas, cube, outs, offset)
@@ -176,7 +165,7 @@ class TestEntryBuilder:
 
     def test_drops_points_whose_word_would_wrap(self):
         # ranks 0..3 from offset 6 in 3 bits: 6 and 7 fit, 8 and 9 do not
-        cube = Cube((DC, 1, DC))
+        cube = Cube.parse("-1-")
         manager, kappa, xs, ys, gammas = _embedding_manager(1, 1, 3, 3)
         entry = _entry_builder(manager, kappa, xs, ys, gammas)(cube, frozenset({1}), 6)
         want = manager.false
@@ -380,10 +369,23 @@ class TestExtendedPla:
                 want.add(tuple(bits))
         assert relation == want
 
-    def test_row_cap(self, underapprox_dsop3):
+    def test_row_cap(self, underapprox_dsop3, monkeypatch):
         rc = embed_exact(underapprox_dsop3)
-        with pytest.raises(ResourceLimitError):
-            to_extended_pla(rc, max_rows=3)
+        monkeypatch.setattr("revembed.embedding.MAX_DUMP_ROWS", 3)
+        with pytest.raises(ResourceLimitError, match="exceeds 3 rows"):
+            to_extended_pla(rc)
+
+    def test_cell_cap(self, underapprox_dsop3, monkeypatch):
+        # a dump may fill the cell budget exactly, but not pass it by one
+        rc = embed_exact(underapprox_dsop3)
+        text = to_extended_pla(rc)
+        rows = [line for line in text.splitlines() if line.startswith(".p ")]
+        cells = int(rows[0].split()[1]) * 2 * rc.r
+        monkeypatch.setattr("revembed.embedding.MAX_DUMP_CELLS", cells)
+        assert to_extended_pla(rc) == text
+        monkeypatch.setattr("revembed.embedding.MAX_DUMP_CELLS", cells - 1)
+        with pytest.raises(ResourceLimitError, match="exceeds %d cells" % (cells - 1)):
+            to_extended_pla(rc)
 
 
 class TestOrderingComparison:

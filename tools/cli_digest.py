@@ -1,17 +1,25 @@
 """Digest of the revembed CLI's outputs, for old-versus-new differentials.
 
 Usage: python3 tools/cli_digest.py SRC_DIR
+       python3 tools/cli_digest.py OLD_SRC NEW_SRC
 
-Imports ``revembed`` from SRC_DIR (the ``src`` directory of a checkout) and
-runs a fixed list of commands in-process on the shipped PLAs and on the
-``perfbench/corpus`` covers with 16 or fewer inputs, plus the ``lines``
-counts of the wider covers in ``WIDE_COVERS`` and the Bennett embedding and
-exact-bdd count of the benchmark's two-cube PLA with ``PAIR_INPUTS`` inputs.
+With one directory it imports ``revembed`` from SRC_DIR (the ``src``
+directory of a checkout) and runs a fixed list of commands in-process on
+the shipped PLAs and on the ``perfbench/corpus`` covers with 16 or fewer
+inputs, plus the ``lines`` counts of the wider covers in ``WIDE_COVERS``
+and the Bennett embedding and exact-bdd count of the benchmark's two-cube
+PLA with ``PAIR_INPUTS`` inputs.
 For each command it prints one line: the exit code, the md5 of stdout, and
 the command. Two checkouts produce identical output exactly when every
 command exits the same way and writes the same bytes, ``--format dot`` node
 ids included. ``bench`` output has its wall-clock ``seconds`` fields dropped
 before hashing.
+
+With two directories it runs the one-directory digest of each tree in its
+own fresh interpreter, both at once, and prints only the commands whose
+lines differ: ``- `` before OLD_SRC's line and ``+ `` before NEW_SRC's, a
+command run in one tree only printing just its side. It exits 1 if any
+line differs or a digest fails, and 0 otherwise; stderr gets the count.
 
 A ``--format dot`` line that exits 0 carries a second md5, ``dot:<md5>``
 before the command, over the dot text with its node ids renumbered
@@ -28,6 +36,7 @@ import io
 import json
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -171,10 +180,56 @@ def _run(main, argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _by_command(text: str) -> dict[str, str]:
+    """Digest lines keyed by their command, the text after the md5s."""
+    lines = {}
+    for line in text.splitlines():
+        parts = line.split(" ")
+        label = parts[3:] if parts[2].startswith("dot:") else parts[2:]
+        lines[" ".join(label)] = line
+    return lines
+
+
+def compare(old_src: str, new_src: str) -> int:
+    """Print the digest lines that differ between two trees; 1 if any do."""
+    procs = [
+        subprocess.Popen(
+            [sys.executable, __file__, src],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for src in (old_src, new_src)
+    ]
+    runs = [proc.communicate() + (proc.returncode,) for proc in procs]
+    for src, (_, err, code) in zip((old_src, new_src), runs):
+        if code:
+            sys.stderr.write(err)
+            print("digest of %s exited %d" % (src, code), file=sys.stderr)
+    if any(code for _, _, code in runs):
+        return 1
+    old, new = (_by_command(out) for out, _, _ in runs)
+    commands = list(dict.fromkeys([*old, *new]))
+    differ = 0
+    for command in commands:
+        if old.get(command) != new.get(command):
+            differ += 1
+            for sign, side in (("-", old), ("+", new)):
+                if command in side:
+                    print("%s %s" % (sign, side[command]))
+    print("%d commands, %d differ" % (len(commands), differ), file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 2:
+        return compare(*args)
     if len(args) != 1:
-        print("usage: python3 tools/cli_digest.py SRC_DIR", file=sys.stderr)
+        print(
+            "usage: python3 tools/cli_digest.py SRC_DIR | OLD_SRC NEW_SRC",
+            file=sys.stderr,
+        )
         return 1
     src = Path(args[0]).resolve()
     sys.path.insert(0, str(src))
