@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage or input errors or an unwritable output
 file, 2 an exhausted time or pattern budget, a --format pla dump past its
-row or cell budget, or an input too wide for the recursive BDD core, 3 a
-requested verification failed.
+row or cell budget, a bench --ordering-study of more than
+embedding.MAX_STUDY_LINES = 16 lines, or an input too wide for the
+recursive BDD core, 3 a requested verification failed.
 
 The --timeout budget is a SIGALRM timer, so main() enforces it only when
 called on the main thread; called from any other thread it runs unbounded.
@@ -257,6 +258,12 @@ def _cmd_bench(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         raise _UsageError("%s is not a directory" % directory)
+    if args.ordering_study:
+        study = ordering_comparison(
+            lines=args.ordering_study, samples=args.samples, seed=args.seed
+        )
+    else:
+        study = None
     measured = []
     for path in sorted(directory.glob("*.pla")):
         pla = parse_pla(path.read_text())
@@ -266,12 +273,6 @@ def _cmd_bench(args) -> int:
             reports[key] = LINE_METHODS[method](pla)
             seconds[key] = round(time.monotonic() - t0, 6)
         measured.append((path.name, pla, reports, seconds))
-    if args.ordering_study:
-        study = ordering_comparison(
-            lines=args.ordering_study, samples=args.samples, seed=args.seed
-        )
-    else:
-        study = None
 
     def payload():
         results = [

@@ -81,7 +81,7 @@ class Cube:
         return "".join([v if c == "1" else "-" for c, v in zip(care, value)])
 
     def __repr__(self) -> str:
-        return "Cube(%r)" % (str(self),)
+        return "Cube.parse(%r)" % (str(self),)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cube is immutable")

@@ -10,10 +10,11 @@ this interleaving is what keeps chi_g of a reversible function small.
 embed_exact assigns garbage values cube by cube: the points of a cube take
 the next #on(c) consecutive values of their output pattern's garbage word,
 gamma = offset + rank(x). Each such relation cube is built directly through
-the manager's node constructor, level by level, by a pass that runs the
-adder on the BDD's own levels and shares its equal states. It reaches the
-optimal ell = ceil(log2 mu) but leaves the nonzero constant planes
-unspecified. embed_bennett instead copies every input through
+the manager's node constructor by one memoised walk down the x/g levels,
+whose state is the level and the residual offset + rank - gamma over the
+bits read so far; the word is right where the residual ends at 0. It
+reaches the optimal ell = ceil(log2 mu) but leaves the nonzero constant
+planes unspecified. embed_bennett instead copies every input through
 (y_i = kappa_i xor f_i(x), gamma = x), total and simple, at the generic
 width n + m. It conjoins only the m output terms, then plants each copy
 gamma_j = x_j under the x_j level of that conjunction with one memoised
@@ -41,6 +42,9 @@ ROLE_GARBAGE = "garbage"
 # hold: one row of a 20,000-input Bennett relation alone has 40,004 cells
 MAX_DUMP_ROWS = 1 << 16
 MAX_DUMP_CELLS = 1 << 22
+# widest ordering study: one sample of 16 lines takes about 17 s and 470 MB
+# (2-vCPU host), and the cost grows about 5x per 2 lines
+MAX_STUDY_LINES = 16
 
 
 @dataclass
@@ -141,33 +145,12 @@ def _entry_builder(
 ):
     """Return build(cube, outs, offset), the relation cube of one
     embed_exact entry: kappa = 0, y = outs' minterm, x inside cube, and
-    the garbage word gamma = offset + rank(x), where rank reads the
-    cube's don't-care inputs x_{d_0}, x_{d_1}, ... (ascending positions)
-    as a binary number, x_{d_0} least significant. The sum is taken over
-    the integers: points whose word would not fit in ell bits are left
-    out (embed_exact keeps offset + #on(cube) <= 2^ell, so it has none).
-
-    The x/g block is built through _mk from one pass over its levels that
-    runs the ripple adder offset + rank bit by bit. A level is entered in
-    states (carry, queue, held):
-      carry  the adder's carry into the next garbage bit;
-      queue  rank bits forced by garbage bits read before their inputs:
-             g_j read while x_{d_j} is still below fixes x_{d_j} to
-             g_j ^ offset_j ^ carry, which keeps the carry known (queueing
-             the raw g_j instead would not, and would breed dead states);
-      held   a rank bit x_{d_j} read before its own g_j.
-    In the interleaved order x_j sits directly above g_j and d_j >= j, so
-    a held bit always belongs to the very next garbage bit and the inputs
-    read the queue front first. The pass goes down numbering the states
-    and their successors, then comes back up making one node per state,
-    so equal states share a node. The word must end with carry 0, so it
-    never wraps mod 2^ell. The kappa and y literals are chained on top,
-    as from_cube does.
+    the garbage word gamma = offset + rank(x), offset < 2^ell, where rank
+    reads the cube's don't-care inputs (ascending positions) as a binary
+    number, the first least significant. Points whose word would not fit
+    in ell bits are left out; embed_exact keeps offset + #on(cube) <= 2^ell.
+    The x/g block is one _entry_walk, the kappa and y literals chained on top.
     """
-    block = sorted(
-        [(v, True, i) for i, v in enumerate(xs)]
-        + [(v, False, j) for j, v in enumerate(gammas)]
-    )
     # (level, output index); kappa gets index 0, which no pattern holds
     top = sorted(
         [(v, 0) for v in kappa] + [(v, i + 1) for i, v in enumerate(ys)],
@@ -176,66 +159,75 @@ def _entry_builder(
     mk = manager._mk
 
     def build(cube: Cube, outs: frozenset[int], offset: int) -> Func:
-        care, value = cube.care, cube.value
-        dc_count = cube.n - care.bit_count()
-        # per level, each entering state's (low, high) successor index in
-        # the next level's states, -1 where the branch leads to 0
-        layers: list[list[tuple[int, int]]] = []
-        states: dict[tuple, int] = {(0, (), None): 0}
-        for _, is_x, i in block:
-            entered: dict[tuple, int] = {}
-            edges = []
-            for carry, queue, held in states:
-                if not is_x:
-                    add = (offset >> i) & 1
-                    if held is not None:
-                        known = held
-                    elif i >= dc_count:
-                        known = 0
-                    else:  # rank bit i is unread: this garbage bit picks it
-                        known = None
-                    pair = []
-                    for g in (0, 1):
-                        r = g ^ add ^ carry
-                        # the carry out is the majority of r, add and carry
-                        out = add if add == carry else r
-                        if known is None:
-                            pair.append((out, queue + (r,), None))
-                        else:
-                            pair.append((out, queue, None) if r == known else None)
-                    lo, hi = pair
-                elif (care >> i) & 1 or queue:
-                    # a fixed literal, or a rank bit its garbage bit forced
-                    if (care >> i) & 1:
-                        bit, rest = (value >> i) & 1, queue
-                    else:
-                        bit, rest = queue[0], queue[1:]
-                    lo = hi = (carry, rest, held)
-                    if bit:
-                        lo = None
-                    else:
-                        hi = None
-                else:  # a free rank bit: both values go on, held for g
-                    lo, hi = (carry, queue, 0), (carry, queue, 1)
-                edges.append(
-                    (
-                        -1 if lo is None else entered.setdefault(lo, len(entered)),
-                        -1 if hi is None else entered.setdefault(hi, len(entered)),
-                    )
-                )
-            layers.append(edges)
-            states = entered
-        # a word still carrying out of its top bit would have wrapped
-        nodes = [0 if carry else 1 for carry, _, _ in states]
-        for (level, _, _), edges in zip(reversed(block), reversed(layers)):
-            nodes.append(0)  # what index -1 reads
-            nodes = [mk(level, nodes[lo], nodes[hi]) for lo, hi in edges]
-        node = nodes[0]
+        node = _entry_walk(0, 0, _entry_steps(xs, gammas, cube, offset), mk, {})
         for level, idx in top:
             node = mk(level, 0, node) if idx in outs else mk(level, node, 0)
         return Func(manager, node)
 
     return build
+
+
+def _entry_steps(xs: list[int], gammas: list[int], cube: Cube, offset: int) -> list:
+    """One entry's x/g levels, top down, as _entry_walk's steps (level,
+    low, high, shift, mask). low and high are what the branches 0 and 1
+    add to owed at its scale, or None where a literal forbids one: a
+    don't-care input's high branch adds its rank weight, and g_a adds
+    offset bit a, less its own weight when high. shift is 1 where the
+    level settles one more bit. Past g_{a-1}, unread garbage counts in
+    multiples of 2^a, so the low a bits of -owed must be unread rank
+    bits, all below the don't-care count dc: mask holds bits [dc, a).
+    """
+    text = str(cube)
+    dc = text.count("-")
+    block = sorted(
+        [(v, text[i]) for i, v in enumerate(xs)] + [(v, "g") for v in gammas]
+    )
+    read = a = 0  # rank bits and garbage bits read
+    steps = []
+    for level, ch in block:
+        s = min(read, a)
+        if ch == "g":
+            bit = (offset >> a) & 1
+            pair = (bit << (a - s), (bit - 1) << (a - s))
+            a += 1
+        elif ch == "-":
+            pair = (0, 1 << (read - s))
+            read += 1
+        else:
+            pair = (None, 0) if ch == "1" else (0, None)
+        t = min(read, a)
+        mask = (1 << (a - t)) - (1 << (dc - t)) if a > dc else 0
+        steps.append((level, *pair, t - s, mask))
+    return steps
+
+
+def _entry_walk(k: int, owed: int, steps: list, mk, memo: dict) -> int:
+    """The node of an entry's x/g block from steps[k] down. owed is the
+    offset bits read, plus the rank bits read, less the garbage bits
+    read, shifted right past the min(rank bits read, garbage bits read)
+    low bits already settled at 0, so it stays small; the word is right
+    when owed ends at 0. The shift depends only on k: the memo key is
+    (k, owed). One frame per level."""
+    if k == len(steps):
+        return 1 if owed == 0 else 0
+    key = (k, owed)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    level, lo, hi, shift, mask = steps[k]
+    # a branch lives when the bit it settles is 0 and -owed misses mask
+    if lo is not None:
+        lo += owed
+        lo = 0 if lo & shift or -(lo >> shift) & mask else _entry_walk(
+            k + 1, lo >> shift, steps, mk, memo
+        )
+    if hi is not None:
+        hi += owed
+        hi = 0 if hi & shift or -(hi >> shift) & mask else _entry_walk(
+            k + 1, hi >> shift, steps, mk, memo
+        )
+    memo[key] = got = mk(level, lo or 0, hi or 0)
+    return got
 
 
 def embed_exact(pla: Pla) -> RcBdd:
@@ -246,7 +238,9 @@ def embed_exact(pla: Pla) -> RcBdd:
     to o's running offset CNT[o] plus the rank of x among c's points --
     don't-care inputs of c enumerate the block of #on(c) consecutive
     values, and the garbage bits above them spell the block's base. Each
-    relation cube is built directly, level by level, by _entry_builder.
+    relation cube is built directly by _entry_builder, from one memoised
+    walk (_entry_walk) down the x/g levels that carries the residual
+    offset + rank - gamma and keeps the paths on which it ends at 0.
     Entries sharing a pattern therefore land on disjoint garbage values,
     which is exactly what makes g injective.
     """
@@ -493,8 +487,12 @@ def ordering_comparison(
     under the interleaved order versus all-inputs-then-all-outputs.
 
     A measured comparison, not a theorem: returns one record per sampled
-    permutation of B^lines with both counts.
-    """
+    permutation of B^lines with both counts. Past MAX_STUDY_LINES lines
+    it raises ResourceLimitError before building anything."""
+    if lines > MAX_STUDY_LINES:
+        raise ResourceLimitError(
+            "ordering study of %d lines exceeds %d" % (lines, MAX_STUDY_LINES)
+        )
     rng = random.Random(seed)
     size = 1 << lines
     out = []

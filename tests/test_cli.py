@@ -302,6 +302,14 @@ class TestBench:
         want = "error: argument %s: expected a non-negative integer, got %r\n"
         assert err == want % (option, value)
 
+    def test_wide_ordering_study_exits_2(self, capsys):
+        directory = str(revembed.data_path("running_example.pla").parent)
+        code, out, err = run(
+            capsys, "bench", directory, "--ordering-study", "17", "--samples", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "resource limit: ordering study of 17 lines exceeds 16\n"
+
 
 class TestPlumbing:
     def test_no_command_is_usage_error(self, capsys):

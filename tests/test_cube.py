@@ -60,6 +60,12 @@ class TestBasics:
         assert cube_points(c) == {0b001, 0b011}
         assert (0b101 ^ c.value) & c.care
 
+    def test_repr_reads_back(self):
+        for text in ["", "1-0", "10-" * 23 + "1"]:
+            c = Cube.parse(text)
+            assert repr(c) == "Cube.parse(%r)" % text
+            assert eval(repr(c)) == c
+
     def test_hashable_eq(self):
         assert Cube.parse("1-") == Cube.parse("1-")
         assert len({Cube.parse("1-"), Cube.parse("1-")}) == 1

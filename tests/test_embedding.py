@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from revembed import (
     Cube,
+    Func,
     Manager,
     ResourceLimitError,
     brute_verify,
@@ -24,7 +26,13 @@ from revembed import (
     verify,
 )
 
-from revembed.embedding import _embedding_manager, _entry_builder
+from revembed.embedding import (
+    MAX_STUDY_LINES,
+    _embedding_manager,
+    _entry_builder,
+    _entry_steps,
+    _entry_walk,
+)
 
 from helpers import (
     and_all_bennett_chi,
@@ -35,6 +43,8 @@ from helpers import (
     random_pla,
     two_cube_pla,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 class TestInc:
@@ -155,6 +165,10 @@ class TestEntryBuilder:
     # n > ell leaves x-only levels at the bottom, ell > n g-only levels
     @example(("1-0-11", 0, 1, frozenset({1}), 3, 3))
     @example(("--", 1, 2, frozenset({2}), 5, 27))
+    # every garbage bit read before the first rank bit
+    @example(("1111----", 0, 1, frozenset({1}), 4, 0))
+    # a block that fills the word exactly
+    @example(("----", 1, 1, frozenset(), 4, 0))
     def test_matches_inc_chain(self, draw):
         text, p, m, outs, ell, offset = draw
         cube = Cube.parse(text)
@@ -174,6 +188,24 @@ class TestEntryBuilder:
             lits.update({g: (word >> i) & 1 for i, g in enumerate(gammas)})
             want = want | manager.cube(lits)
         assert entry == want
+
+    @pytest.mark.parametrize("source", ["r14c8", "wide2000"])
+    def test_walk_states_stay_near_block_size(self, source):
+        # each state is (level, residual); the prune keeps dead ones rare
+        if source == "r14c8":
+            text = (CORPUS / "r14c8.pla").read_text()
+            pla = dsop(complete_offset(parse_pla(text)))
+        else:
+            pla = dsop(parse_pla(two_cube_pla(2000)))
+        rc = embed_exact(pla)
+        offsets: dict = {}
+        for cube, outs in pla.entries:
+            offset = offsets.get(outs, 0)
+            offsets[outs] = offset + cube.on_size()
+            memo: dict = {}
+            steps = _entry_steps(rc.xs, rc.gammas, cube, offset)
+            block = _entry_walk(0, 0, steps, rc.manager._mk, memo)
+            assert len(memo) <= 2 * rc.manager.dag_size(Func(rc.manager, block))
 
 
 class TestVerify:
@@ -404,6 +436,16 @@ class TestOrderingComparison:
         a = ordering_comparison(lines=4, samples=3, seed=7)
         c = ordering_comparison(lines=4, samples=3, seed=8)
         assert a != c
+
+    def test_width_cap(self, monkeypatch):
+        assert MAX_STUDY_LINES == 16
+        with pytest.raises(ResourceLimitError, match="17 lines exceeds 16"):
+            ordering_comparison(lines=17, samples=1)
+        # the cap is read at call time and a study at the cap runs
+        monkeypatch.setattr("revembed.embedding.MAX_STUDY_LINES", 3)
+        assert len(ordering_comparison(lines=3, samples=1)) == 1
+        with pytest.raises(ResourceLimitError):
+            ordering_comparison(lines=4, samples=1)
 
 
 class TestRoles:

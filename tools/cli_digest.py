@@ -7,8 +7,8 @@ With one directory it imports ``revembed`` from SRC_DIR (the ``src``
 directory of a checkout) and runs a fixed list of commands in-process on
 the shipped PLAs and on the ``perfbench/corpus`` covers with 16 or fewer
 inputs, plus the ``lines`` counts of the wider covers in ``WIDE_COVERS``
-and the Bennett embedding and exact-bdd count of the benchmark's two-cube
-PLA with ``PAIR_INPUTS`` inputs.
+and the Bennett and exact embeddings and exact-bdd count of the
+benchmark's two-cube PLA with ``PAIR_INPUTS`` inputs.
 For each command it prints one line: the exit code, the md5 of stdout, and
 the command. Two checkouts produce identical output exactly when every
 command exits the same way and writes the same bytes, ``--format dot`` node
@@ -67,11 +67,16 @@ WIDE_FILE = [
 ]
 
 # x1 = 1 drives output 1 and the last input output 2: every x/g level of
-# the Bennett relation is a plain copy, which a wide input stresses, and the
-# exact-bdd count's walk skips all levels between the two
+# the Bennett relation is a plain copy, which a wide input stresses, the
+# exact embedding's entry walk runs deepest here, through 298 don't-cares,
+# and the exact-bdd count's walk skips all levels between the two
 PAIR_INPUTS = 300
 PAIR_FILE = [
-    *(["embed", "--bennett", "--verify", "--format", fmt] for fmt in ("json", "dot")),
+    *(
+        ["embed", mode, "--verify", "--format", fmt]
+        for mode in ("--bennett", "--exact")
+        for fmt in ("json", "dot")
+    ),
     ["lines", "--method", "exact-bdd"],
 ]
 
