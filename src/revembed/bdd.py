@@ -279,20 +279,28 @@ class Manager:
         for v in fixed.values():
             if v not in (0, 1):
                 raise ValueError("restriction values must be 0 or 1")
-        return Func(self, self._restrict(u, fixed, {}))
+        if not fixed:
+            return f
+        return Func(self, self._restrict(u, fixed, max(fixed), {}))
 
-    def _restrict(self, x: int, fixed: dict[int, int], memo: dict[int, int]) -> int:
+    def _restrict(
+        self, x: int, fixed: dict[int, int], deepest: int, memo: dict[int, int]
+    ) -> int:
         if x < 2:
+            return x
+        lvl, lo, hi = self._nodes[x]
+        if lvl > deepest:
             return x
         got = memo.get(x)
         if got is not None:
             return got
-        lvl, lo, hi = self._nodes[x]
         if lvl in fixed:
-            out = self._restrict(hi if fixed[lvl] else lo, fixed, memo)
+            out = self._restrict(hi if fixed[lvl] else lo, fixed, deepest, memo)
         else:
             out = self._mk(
-                lvl, self._restrict(lo, fixed, memo), self._restrict(hi, fixed, memo)
+                lvl,
+                self._restrict(lo, fixed, deepest, memo),
+                self._restrict(hi, fixed, deepest, memo),
             )
         memo[x] = out
         return out

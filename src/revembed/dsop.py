@@ -15,20 +15,22 @@ A cube meets slot k exactly when bit k survives the AND of compat[b][i]
 over its literals (i, b), so the lowest surviving bit is the first overlap
 in list order, the same one a front-to-back scan would find.
 
-compact() gives a smaller disjoint cover without running dsop(). It and
-linecount.exact_mu_bdd() read Wille, Keszocze and Drechsler's (DATE 2011)
-partition of B^n by output pattern from pattern_split(): one memoised walk
-over a tuple of BDDs together, as in Bryant's (1986) simultaneous
-traversal, that builds one value per pattern bottom-up with the caller's
-join. compact() walks covered = OR of every row's cube with the m output
-BDDs and joins with the node constructor, so each value is a pattern's
-region: the inputs whose covering rows construct exactly that pattern.
-Each region is read out as one cube per root-to-1 path. post_compact() is
-the same rewrite for a Pla that dsop() has already certified.
+Wille, Keszocze and Drechsler's (DATE 2011) partition of B^n by output
+pattern is read from the product of a tuple of BDDs, walked together as in
+Bryant's (1986) simultaneous traversal, in two ways. pattern_split() walks
+it bottom-up, memoised, and builds each pattern's region as a BDD: the
+inputs whose covering rows construct exactly that pattern. compact() uses
+it on covered = OR of every row's cube and the m output BDDs to give a
+smaller disjoint cover without running dsop(), one cube per root-to-1 path
+of each region; post_compact() is the same rewrite for a Pla that dsop()
+has already certified. pattern_counts() walks the same product top-down
+with one integer weight per state and gives only each pattern's size,
+which is all linecount.exact_mu_bdd() needs.
 """
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Callable
 
 from .bdd import Manager, or_all
@@ -121,7 +123,7 @@ def compact(pla: Pla) -> Pla:
     xs = manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
     covered = or_all([manager.from_cube(cube) for cube, _ in pla.entries], manager)
     state = (covered.node, *(f.node for f in to_functions(pla, manager, xs)))
-    regions = pattern_split(state, manager._nodes, pla.n, manager._mk, 1)
+    regions = pattern_split(state, manager, pla.n)
     entries: list[tuple[Cube, frozenset[int]]] = []
     # every level is an input, so the paths need no support check
     for outs in sorted(regions, key=lambda o: tuple(sorted(o))):
@@ -137,33 +139,25 @@ def compact(pla: Pla) -> Pla:
 
 
 def pattern_split(
-    state: tuple[int, ...],
-    nodes: list[tuple[int, int, int]],
-    n: int,
-    join: Callable[[int, int, int], int],
-    one: int,
+    state: tuple[int, ...], manager: Manager, n: int
 ) -> dict[frozenset[int], int]:
-    """{output set: value} for the walk of state = (covered, f_1..f_m).
+    """{output set: region node} for the walk of state = (covered, f_1..f_m).
 
-    nodes is a node table over the n levels 0..n-1. An input's pattern is
-    the set of outputs i with f_i = 1, and only inputs where covered = 1
-    count. A leaf's pattern has the value one, and a state's value for a
-    pattern joins its cofactors' values with join(level, lo, hi), a
-    pattern missing from a cofactor giving 0 there. Patterns come in
-    ascending order of the walk's masks: branching on output 1 first, low
-    first. Raises ResourceLimitError when a walk state reaches more than
-    DEFAULT_PATTERN_CAP patterns.
+    The state's nodes live on manager, over the n levels 0..n-1. An
+    input's pattern is the set of outputs i with f_i = 1, and only inputs
+    where covered = 1 count. A pattern's region is the node of its inputs,
+    built bottom-up: a leaf's pattern has the region 1, and a state's
+    region for a pattern joins its cofactors' regions with _mk, a pattern
+    missing from a cofactor giving 0 there. Patterns come in ascending
+    mask order (_outputs). Raises ResourceLimitError when a walk state
+    reaches more than DEFAULT_PATTERN_CAP patterns.
     """
-    # terminals sit at level n, below every variable
-    levels = [n, n] + [lvl for lvl, _, _ in nodes[2:]]
+    nodes = manager._nodes
+    levels = _levels(nodes, n)
     cap = DEFAULT_PATTERN_CAP
-    values = _pattern_walk(state, nodes, levels, n, join, one, {}, cap)
+    regions = _pattern_walk(state, nodes, levels, n, manager._mk, {}, cap)
     m = len(state) - 1
-    # a mask has bit m-i set when output i is 1
-    return {
-        frozenset(m - b for b in bit_positions(mask)): values[mask]
-        for mask in sorted(values)
-    }
+    return {_outputs(mask, m): regions[mask] for mask in sorted(regions)}
 
 
 def _pattern_walk(
@@ -171,12 +165,11 @@ def _pattern_walk(
     nodes: list[tuple[int, int, int]],
     levels: list[int],
     n: int,
-    join: Callable[[int, int, int], int],
-    one: int,
+    mk: Callable[[int, int, int], int],
     memo: dict,
     cap: int,
 ) -> dict[int, int]:
-    """{pattern mask: value} for one walk state, as in pattern_split.
+    """{pattern mask: region node} for one walk state, as in pattern_split.
 
     The state splits at its top level into the tuples of low and high
     cofactors, as in Bryant's (1986) simultaneous traversal, and equal
@@ -189,21 +182,90 @@ def _pattern_walk(
         return got
     top = min(map(levels.__getitem__, state))
     if top == n:
-        mask = 0
-        for u in state[1:]:
-            mask = (mask << 1) | u
-        values = {mask: one}
+        regions = {_mask(state[1:]): 1}
     else:
         lo = tuple([nodes[u][1] if levels[u] == top else u for u in state])
         hi = tuple([nodes[u][2] if levels[u] == top else u for u in state])
-        low = _pattern_walk(lo, nodes, levels, n, join, one, memo, cap)
-        high = _pattern_walk(hi, nodes, levels, n, join, one, memo, cap)
-        values = {mask: join(top, u, high.get(mask, 0)) for mask, u in low.items()}
+        low = _pattern_walk(lo, nodes, levels, n, mk, memo, cap)
+        high = _pattern_walk(hi, nodes, levels, n, mk, memo, cap)
+        regions = {mask: mk(top, u, high.get(mask, 0)) for mask, u in low.items()}
         for mask, v in high.items():
             if mask not in low:
-                values[mask] = join(top, 0, v)
+                regions[mask] = mk(top, 0, v)
     # every pattern below a state is a pattern of the root
-    if len(values) > cap:
+    if len(regions) > cap:
         raise ResourceLimitError("more than %d output patterns enumerated" % cap)
-    memo[state] = values
-    return values
+    memo[state] = regions
+    return regions
+
+
+def pattern_counts(
+    state: tuple[int, ...], nodes: list[tuple[int, int, int]], n: int
+) -> dict[frozenset[int], int]:
+    """{output set: input count} over B^n for state = (f_1, ..., f_m).
+
+    nodes is a node table over the n levels 0..n-1, and an input's pattern
+    is the set of outputs i with f_i = 1. The walk visits the states of
+    pattern_split top-down and keeps one weight per state: the root
+    weighs 2^n, and a state hands half its weight to each of its low and
+    high cofactor states. States are split in ascending order of their
+    top level, so every weight is whole before it is split. The states
+    left at the end hold only terminals, one per pattern, and each weighs
+    its pattern's count. Patterns come in ascending mask order (_outputs). Raises
+    ResourceLimitError when there are more than DEFAULT_PATTERN_CAP
+    patterns.
+    """
+    levels = _levels(nodes, n)
+    cap = DEFAULT_PATTERN_CAP
+    top = min(map(levels.__getitem__, state), default=n)
+    weight = {state: 1 << n}
+    # the states waiting to be split, by top level; the heap holds the
+    # levels with a list, so a wide walk never scans its empty levels
+    pending = {top: [state]}
+    heap = [top]
+    while heap[0] < n:
+        top = heappop(heap)
+        for s in pending.pop(top):
+            half = weight.pop(s) >> 1
+            lo = tuple([nodes[u][1] if levels[u] == top else u for u in s])
+            hi = tuple([nodes[u][2] if levels[u] == top else u for u in s])
+            for child in (lo, hi):
+                got = weight.get(child)
+                if got is not None:
+                    weight[child] = got + half
+                    continue
+                weight[child] = half
+                lvl = min(map(levels.__getitem__, child))
+                states = pending.get(lvl)
+                if states is None:
+                    pending[lvl] = [child]
+                    heappush(heap, lvl)
+                elif lvl == n and len(states) >= cap:
+                    raise ResourceLimitError(
+                        "more than %d output patterns enumerated" % cap
+                    )
+                else:
+                    states.append(child)
+    # only the terminal states are left in weight
+    counts = {_mask(s): w for s, w in weight.items()}
+    return {_outputs(mask, len(state)): counts[mask] for mask in sorted(counts)}
+
+
+def _levels(nodes: list[tuple[int, int, int]], n: int) -> list[int]:
+    """Each node's level, with the terminals at level n, below every
+    variable."""
+    return [n, n] + [lvl for lvl, _, _ in nodes[2:]]
+
+
+def _mask(terminals: tuple[int, ...]) -> int:
+    """The mask of a pattern given as its outputs' terminal values."""
+    mask = 0
+    for u in terminals:
+        mask = (mask << 1) | u
+    return mask
+
+
+def _outputs(mask: int, m: int) -> frozenset[int]:
+    """The output set of a mask: bit m-i is set when output i is 1, so
+    ascending masks branch on output 1 first, low first."""
+    return frozenset(m - b for b in bit_positions(mask))

@@ -8,10 +8,12 @@ n + m is the generic upper bound). Three routes are provided:
 * heuristic_mu   -- per-cube accumulation; an upper-bound estimate unless
                     the cube list is already disjoint,
 * exact_mu_cube  -- disjoint rewriting first, then the same accumulation,
-* exact_mu_bdd   -- one memoised walk over the m output BDDs together,
-                    the one compact() reads its regions from, which
-                    splits B^n by output pattern without building the
-                    characteristic function chi(x, y).
+* exact_mu_bdd   -- one top-down walk over the m output BDDs together,
+                    which splits B^n by output pattern without building
+                    the characteristic function chi(x, y). It visits the
+                    product states whose bottom-up walk gives compact()
+                    its regions, but keeps one weight per state instead
+                    of one value per pattern.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .bdd import Func, Manager, or_all
-from .dsop import dsop, pattern_split
+from .dsop import dsop, pattern_counts
 from .pla import Pla, function_source
 
 METHOD_HEURISTIC_CUBE = "heuristic-cube"
@@ -120,29 +122,22 @@ def _cube_counts(cover: Pla, rows: Pla) -> dict[frozenset[int], int]:
 def exact_mu_bdd(
     source: Union[Pla, list[Func]], n: Optional[int] = None
 ) -> LineReport:
-    """Exact per-pattern counts from one walk over all m output BDDs.
+    """Exact per-pattern counts from one top-down walk over all m output BDDs.
 
     The functions are placed on a fresh manager over the n inputs alone and
-    walked together by dsop.pattern_split, the walk compact() reads its
-    regions from, with every input covered. This is the partition of B^n
-    by pattern that Wille, Keszocze and Drechsler (DATE 2011) read off
-    chi(x, y) with the y levels on top, reached without building chi.
-    Raises ResourceLimitError when there are more than
-    dsop.DEFAULT_PATTERN_CAP patterns.
+    counted by dsop.pattern_counts, which walks the product states that
+    compact()'s regions come from and keeps one weight per state. This is
+    the partition of B^n by pattern that Wille, Keszocze and Drechsler
+    (DATE 2011) read off chi(x, y) with the y levels on top, reached
+    without building chi. Raises ResourceLimitError when there are more
+    than dsop.DEFAULT_PATTERN_CAP patterns.
     """
     n, m, place = function_source(source, n)
     manager = Manager()
     xs = manager.add_vars("x%d" % (i + 1) for i in range(n))
-    state = (1, *(f.node for f in place(manager, xs)))
+    state = tuple(f.node for f in place(manager, xs))
     nodes = manager._nodes
     # the walk reads only the node table: free the unique and computed
     # tables before it runs
     del manager
-    # a value is a state's count over its levels top..n-1 scaled by 2^top,
-    # so a join is exact whatever levels the cofactors skip
-    per = pattern_split(state, nodes, n, _mean, 1 << n)
-    return _finish(METHOD_EXACT_BDD, True, per, m)
-
-
-def _mean(level: int, lo: int, hi: int) -> int:
-    return (lo + hi) >> 1
+    return _finish(METHOD_EXACT_BDD, True, pattern_counts(state, nodes, n), m)

@@ -447,3 +447,23 @@ def test_random_formulas_match_reference(node):
     # double negation and self-xor sanity on the same structure
     assert ~~f == f
     assert (f ^ f).is_false
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    exprs(NVARS),
+    st.dictionaries(st.integers(0, NVARS - 1), st.integers(0, 1), max_size=NVARS),
+)
+def test_restrict_matches_eval(node, assignment):
+    manager = Manager()
+    names = manager.add_vars(["x%d" % (i + 1) for i in range(NVARS)])
+    f = build(manager, names, node)
+    g = manager.restrict(f, {names[i]: v for i, v in assignment.items()})
+    # g reads the fixed variables' values from the assignment, whatever
+    # the point holds there
+    for bits in all_points(NVARS):
+        fixed = [assignment.get(i, b) for i, b in enumerate(bits)]
+        assert manager.eval(g, list(bits)) == manager.eval(f, fixed)
+    assert set(g.support()).isdisjoint(assignment)
+    if not assignment:
+        assert g == f

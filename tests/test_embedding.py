@@ -233,6 +233,43 @@ class TestVerify:
         rep = verify(rc, funcs)
         assert rep.functional and rep.injective
 
+    @staticmethod
+    def _restrict_kappa(name):
+        """verify's kappa = 0 restriction of name's exact embedding with
+        offset: (rc, chi0, _mk calls made, nodes created)."""
+        pla = dsop(complete_offset(parse_pla((CORPUS / (name + ".pla")).read_text())))
+        rc = embed_exact(pla)
+        manager = rc.manager
+        made = []
+        real_mk = manager._mk
+        manager._mk = lambda *key: made.append(key) or real_mk(*key)
+        before = manager.node_count()
+        chi0 = manager.restrict(rc.chi, {k: 0 for k in rc.kappa})
+        created = manager.node_count() - before
+        del manager._mk
+        # every entry has kappa = 0, so the restriction drops kappa alone
+        assert chi0 == manager.exists(rc.chi, rc.kappa)
+        return rc, chi0, made, created
+
+    def test_restricting_kappa_creates_no_node(self):
+        # z4 has one constant line, kappa = level 0, above every other
+        rc, chi0, made, created = self._restrict_kappa("z4")
+        assert rc.kappa == [0]
+        assert (made, created) == ([], 0)
+        assert chi0 == rc.manager.node_branches(rc.chi)[0]
+
+    def test_restrict_stops_below_the_deepest_fixed_level(self):
+        # r14c8's eight kappa levels interleave with the outputs: only
+        # nodes above the last kappa level are rebuilt
+        rc, _, made, created = self._restrict_kappa("r14c8")
+        manager, deepest = rc.manager, max(rc.kappa)
+        above = [
+            u
+            for u in manager._reachable(rc.chi.node)
+            if manager._nodes[u][0] < deepest
+        ]
+        assert created <= len(made) <= len(above) < rc.node_count() // 100
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3))
     def test_matches_brute_force(self, seed, n, m):

@@ -1,6 +1,8 @@
 import importlib
 import json
 import random
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -12,6 +14,7 @@ from revembed import (
     METHOD_EXACT_BDD,
     METHOD_EXACT_CUBE,
     METHOD_HEURISTIC_CUBE,
+    Cube,
     Manager,
     ResourceLimitError,
     brute_mu,
@@ -20,12 +23,14 @@ from revembed import (
     exact_mu_bdd,
     exact_mu_cube,
     heuristic_mu,
+    parse_pla,
     upper_bound_total,
 )
 
 from helpers import random_pla
 
 DSOP_MODULE = importlib.import_module("revembed.dsop")
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 def pattern_map(report):
@@ -134,6 +139,21 @@ class TestExactBddInputs:
         assert pattern_map(wide) == {k: 4 * v for k, v in RUNNING_EXACT.items()}
 
 
+    def test_count_needs_no_recursion(self):
+        n = 50_000
+        manager = Manager()
+        limit = sys.getrecursionlimit()
+        try:
+            manager.add_vars("x%d" % i for i in range(n))
+            cube = Cube(n, (1 << n) - 1, int("10" * (n // 2), 2))
+            f = manager.from_cube(cube)
+        finally:
+            sys.setrecursionlimit(limit)
+        got = DSOP_MODULE.pattern_counts((f.node,), manager._nodes, n)
+        assert got == {frozenset(): (1 << n) - 1, frozenset({1}): 1}
+        assert list(got) == [frozenset(), frozenset({1})]
+
+
 class TestReportShape:
     def test_to_dict_schema(self, running):
         schema = json.loads(rv.schema_path("lines.schema.json").read_text())
@@ -189,6 +209,25 @@ class TestAgreement:
         pla = random_pla(random.Random(seed), n, m, 12)
         got = heuristic_mu(pla).per_pattern.get(frozenset())
         assert got == brute_mu(pla).per_pattern.get(frozenset())
+
+    @pytest.mark.parametrize("name", ["r20c40", "r20c100"])
+    def test_exact_bdd_matches_brute_force_at_width_limit(self, name):
+        pla = parse_pla((CORPUS / (name + ".pla")).read_text())
+        got = exact_mu_bdd(pla)
+        want = brute_mu(pla)
+        assert pattern_map(got) == pattern_map(want)
+        assert (got.mu, got.ell, got.total_lines) == (
+            want.mu, want.ell, want.total_lines,
+        )
+
+    def test_exact_bdd_patterns_come_in_mask_order(self, running):
+        # ascending masks: output 1 is the most significant bit
+        rng = random.Random(7)
+        plas = [running] + [random_pla(rng, 6, 5, 10) for _ in range(40)]
+        for pla in plas:
+            got = list(exact_mu_bdd(pla).per_pattern)
+            key = [[i in outs for i in range(1, pla.m + 1)] for outs in got]
+            assert key == sorted(key)
 
     def test_exact_counts_partition_the_domain(self, running, underapprox):
         for pla in (running, underapprox):
