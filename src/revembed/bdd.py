@@ -6,13 +6,17 @@ the same node id (Bryant 1986). No complement edges. The variable order is
 fixed at variable-creation time; algorithms that need a special order create
 their variables in that order on a fresh manager.
 
-Every Boolean combinator is one memoised if-then-else recursion, as in
-Brace, Rudell & Bryant, "Efficient implementation of a BDD package" (DAC
+The combinators share one computed table keyed by if-then-else triples, as
+in Brace, Rudell & Bryant, "Efficient implementation of a BDD package" (DAC
 1990): and is ite(f, g, 0), or is ite(f, 1, g), not is ite(f, 0, 1), xor is
-ite(f, not g, g) and xnor is ite(f, g, not g). Before the computed table is
+ite(f, not g, g) and xnor is ite(f, g, not g). Before the table is
 consulted, each call is put into a standard triple -- ite(f, f, h) becomes
 ite(f, 1, h), ite(f, g, f) becomes ite(f, g, 0), and the operands of and/or
-are ordered -- so equivalent calls share one entry.
+are ordered -- so equivalent calls share one entry. ite, not, xor and xnor
+run the general recursion; and, or (with and_all/or_all) and the join of
+exists run two-operand recursions, as CUDD (Somenzi) does, that decide a
+constant or equal pair of children without a call. These make the same
+nodes in the same order and the same table entries as the general one.
 
 Counting helpers use Python integers throughout, so satisfying-assignment
 counts stay exact at thousands of variables. Counts and supports are read
@@ -94,7 +98,8 @@ class Func:
 
 
 class Manager:
-    """Shared node store plus the computed table of the ITE core.
+    """Shared node store plus the computed table of the combinators, which
+    keeps one entry per standard ite triple.
 
     A variable is its level, the position in the variable order, which this
     manager assigns in creation order: the first variable added is level 0.
@@ -211,9 +216,9 @@ class Manager:
         u, v = self._check(f), self._check(g)
         op = op.lower()
         if op == "and":
-            out = self._ite(u, v, 0)
+            out = _and_top(u, v, self._nodes, self._unique, self._memo)
         elif op == "or":
-            out = self._ite(u, 1, v)
+            out = _or_top(u, v, self._nodes, self._unique, self._memo)
         elif op == "xor":
             out = 0 if u == v else self._ite(u, self._ite(v, 0, 1), v)
         elif op == "xnor":
@@ -311,27 +316,11 @@ class Manager:
         levels = frozenset(self._resolve(v) for v in variables)
         if not levels:
             return f
-        return Func(self, self._exists(u, levels, max(levels), {}))
-
-    def _exists(
-        self, x: int, levels: frozenset[int], top_gone: int, memo: dict[int, int]
-    ) -> int:
-        if x < 2:
-            return x
-        lvl, lo, hi = self._nodes[x]
-        if lvl > top_gone:
-            return x
-        got = memo.get(x)
-        if got is not None:
-            return got
-        lo = self._exists(lo, levels, top_gone, memo)
-        hi = self._exists(hi, levels, top_gone, memo)
-        if lvl in levels:
-            out = self._ite(lo, 1, hi)
-        else:
-            out = self._mk(lvl, lo, hi)
-        memo[x] = out
-        return out
+        deepest = max(levels)
+        if u < 2 or self._nodes[u][0] > deepest:
+            return f
+        nodes, unique, memo = self._nodes, self._unique, self._memo
+        return Func(self, _exists(u, levels, deepest, nodes, unique, memo, {}))
 
     def from_cube(self, cube: Cube, xs: Optional[list[int]] = None) -> Func:
         """Conjunction of a cube's literals; the inverse of enumerate_paths.
@@ -501,16 +490,19 @@ class Manager:
         return len(self._reachable(self._check(f)))
 
     def _reachable(self, u: int) -> set[int]:
-        seen = set()
+        if u < 2:
+            return {u}
+        # a non-constant function reaches both terminals
+        seen = {0, 1, u}
+        nodes = self._nodes
         stack = [u]
         while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            if x >= 2:
-                _, lo, hi = self._nodes[x]
+            _, lo, hi = nodes[stack.pop()]
+            if lo not in seen:
+                seen.add(lo)
                 stack.append(lo)
+            if hi not in seen:
+                seen.add(hi)
                 stack.append(hi)
         return seen
 
@@ -569,3 +561,167 @@ def _reduce(op: str, funcs: list[Func], manager: Optional[Manager], empty: int) 
             nxt.append(work[-1])
         work = nxt
     return work[0]
+
+
+# The two-operand kernels below are and and or of the ITE core, node for node:
+# they keep _ite's standard-triple computed-table keys, (u, v, 0) for and and
+# (u, 1, w) for or with u the smaller operand, recurse low first, and make
+# each node as _mk does. A child pair that is a constant or an equal pair is
+# decided in the caller's frame, so it costs no call.
+
+
+def _and_top(u: int, v: int, nodes: list, unique: dict, memo: dict) -> int:
+    """Node of u and v on the given node, unique and computed tables."""
+    if u < 2:
+        return v if u else 0
+    if v < 2:
+        return u if v else 0
+    if u == v:
+        return u
+    if u < v:
+        return _and(u, v, nodes, unique, memo)
+    return _and(v, u, nodes, unique, memo)
+
+
+def _and(u: int, v: int, nodes: list, unique: dict, memo: dict) -> int:
+    """u and v for non-terminal u < v."""
+    key = (u, v, 0)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    lu, u0, u1 = nodes[u]
+    lv, v0, v1 = nodes[v]
+    if lu < lv:
+        top = lu
+        v0 = v1 = v
+    else:
+        top = lv
+        if lv < lu:
+            u0 = u1 = u
+    if u0 < 2:
+        lo = v0 if u0 else 0
+    elif v0 < 2:
+        lo = u0 if v0 else 0
+    elif u0 == v0:
+        lo = u0
+    elif u0 < v0:
+        lo = _and(u0, v0, nodes, unique, memo)
+    else:
+        lo = _and(v0, u0, nodes, unique, memo)
+    if u1 < 2:
+        hi = v1 if u1 else 0
+    elif v1 < 2:
+        hi = u1 if v1 else 0
+    elif u1 == v1:
+        hi = u1
+    elif u1 < v1:
+        hi = _and(u1, v1, nodes, unique, memo)
+    else:
+        hi = _and(v1, u1, nodes, unique, memo)
+    if lo == hi:
+        out = lo
+    else:
+        node = (top, lo, hi)
+        out = unique.get(node)
+        if out is None:
+            out = len(nodes)
+            nodes.append(node)
+            unique[node] = out
+    memo[key] = out
+    return out
+
+
+def _or_top(u: int, w: int, nodes: list, unique: dict, memo: dict) -> int:
+    """Node of u or w on the given node, unique and computed tables."""
+    if u < 2:
+        return 1 if u else w
+    if w < 2:
+        return 1 if w else u
+    if u == w:
+        return u
+    if u < w:
+        return _or(u, w, nodes, unique, memo)
+    return _or(w, u, nodes, unique, memo)
+
+
+def _or(u: int, w: int, nodes: list, unique: dict, memo: dict) -> int:
+    """u or w for non-terminal u < w."""
+    key = (u, 1, w)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    lu, u0, u1 = nodes[u]
+    lw, w0, w1 = nodes[w]
+    if lu < lw:
+        top = lu
+        w0 = w1 = w
+    else:
+        top = lw
+        if lw < lu:
+            u0 = u1 = u
+    if u0 < 2:
+        lo = 1 if u0 else w0
+    elif w0 < 2:
+        lo = 1 if w0 else u0
+    elif u0 == w0:
+        lo = u0
+    elif u0 < w0:
+        lo = _or(u0, w0, nodes, unique, memo)
+    else:
+        lo = _or(w0, u0, nodes, unique, memo)
+    if u1 < 2:
+        hi = 1 if u1 else w1
+    elif w1 < 2:
+        hi = 1 if w1 else u1
+    elif u1 == w1:
+        hi = u1
+    elif u1 < w1:
+        hi = _or(u1, w1, nodes, unique, memo)
+    else:
+        hi = _or(w1, u1, nodes, unique, memo)
+    if lo == hi:
+        out = lo
+    else:
+        node = (top, lo, hi)
+        out = unique.get(node)
+        if out is None:
+            out = len(nodes)
+            nodes.append(node)
+            unique[node] = out
+    memo[key] = out
+    return out
+
+
+def _exists(
+    x: int,
+    levels: frozenset[int],
+    deepest: int,
+    nodes: list,
+    unique: dict,
+    table: dict,
+    memo: dict[int, int],
+) -> int:
+    """x with levels quantified out, for a non-terminal x whose level is at
+    most deepest. A quantified level joins its children with the or kernel
+    on the computed table; memo holds this quantification's results."""
+    out = memo.get(x)
+    if out is not None:
+        return out
+    lvl, lo, hi = nodes[x]
+    if lo >= 2 and nodes[lo][0] <= deepest:
+        lo = _exists(lo, levels, deepest, nodes, unique, table, memo)
+    if hi >= 2 and nodes[hi][0] <= deepest:
+        hi = _exists(hi, levels, deepest, nodes, unique, table, memo)
+    if lvl in levels:
+        out = _or_top(lo, hi, nodes, unique, table)
+    elif lo == hi:
+        out = lo
+    else:
+        node = (lvl, lo, hi)
+        out = unique.get(node)
+        if out is None:
+            out = len(nodes)
+            nodes.append(node)
+            unique[node] = out
+    memo[x] = out
+    return out

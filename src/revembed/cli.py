@@ -337,11 +337,11 @@ def main(argv=None) -> int:
         print("resource limit: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
     except RecursionError:
+        # the walks over a relation take about two levels per input
         print(
             "resource limit: input too wide: BDD recursion passed its depth cap "
-            "of %d levels (embed --bennett --verify reaches it near 20000 "
-            "inputs)"
-            % MAX_RECURSION,
+            "of %d levels (inputs past about %d reach it)"
+            % (MAX_RECURSION, MAX_RECURSION // 2),
             file=sys.stderr,
         )
         return EXIT_RESOURCE

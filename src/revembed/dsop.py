@@ -33,10 +33,10 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Callable
 
-from .bdd import Manager, or_all
+from .bdd import Manager
 from .cube import Cube, bit_positions, cube_and, cube_sharp
 from .errors import ResourceLimitError
-from .pla import Pla, to_functions
+from .pla import Pla, cover_union, to_functions
 
 __all__ = ["compact", "dsop", "post_compact"]
 
@@ -119,10 +119,9 @@ def compact(pla: Pla) -> Pla:
     region's cubes in enumerate_paths order. Raises ResourceLimitError when
     a walk state reaches more than DEFAULT_PATTERN_CAP patterns.
     """
-    manager = Manager()
-    xs = manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
-    covered = or_all([manager.from_cube(cube) for cube, _ in pla.entries], manager)
-    state = (covered.node, *(f.node for f in to_functions(pla, manager, xs)))
+    covered = cover_union(pla.n, [cube for cube, _ in pla.entries])
+    manager = covered.manager
+    state = (covered.node, *(f.node for f in to_functions(pla, manager)))
     regions = pattern_split(state, manager, pla.n)
     entries: list[tuple[Cube, frozenset[int]]] = []
     # every level is an input, so the paths need no support check

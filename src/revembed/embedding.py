@@ -31,7 +31,7 @@ from .bdd import Func, Manager, and_all, or_all
 from .cube import Cube
 from .errors import ResourceLimitError
 from .linecount import heuristic_mu
-from .pla import Pla, characteristic, function_source
+from .pla import Pla, characteristic, cover_union, function_source
 
 ROLE_CONSTANT = "constant"
 ROLE_INPUT = "input"
@@ -387,11 +387,9 @@ def complete_offset(pla: Pla) -> Pla:
     """Append every input no row covers as an explicit empty-pattern cube
     (one per BDD path), so a later embedding specifies the whole domain.
     Idempotent; points already carried by zero-output rows stay untouched."""
-    manager = Manager()
-    manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
-    covered = or_all([manager.from_cube(cube) for cube, _ in pla.entries], manager)
+    covered = cover_union(pla.n, [cube for cube, _ in pla.entries])
     entries = list(pla.entries)
-    for cube in manager.enumerate_paths(~covered, pla.n):
+    for cube in covered.manager.enumerate_paths(~covered, pla.n):
         entries.append((cube, frozenset()))
     # the appended cubes live outside the union of all existing rows, so
     # pairwise disjointness is preserved and the certificate carries over

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .bdd import Func, Manager, or_all
+from .bdd import Func, Manager
 from .dsop import dsop, pattern_counts
-from .pla import Pla, function_source
+from .pla import Pla, cover_union, function_source
 
 METHOD_HEURISTIC_CUBE = "heuristic-cube"
 METHOD_EXACT_CUBE = "exact-cube"
@@ -84,32 +84,35 @@ def heuristic_mu(pla: Pla) -> LineReport:
     """Per-entry accumulation with the exact OFF-set size. Counts for
     patterns produced only by overlaps are over-estimates; the maximum is
     an upper bound on mu, and exact when the Pla is dsop-certified."""
-    per = _cube_counts(pla, pla)
+    per = _cube_counts(pla)
     return _finish(METHOD_HEURISTIC_CUBE, pla.dsop_certified, per, pla.m)
 
 
 def exact_mu_cube(pla: Pla) -> LineReport:
-    """heuristic_mu's accumulation over dsop(pla). The OFF-set is counted
-    from pla's own rows: dsop keeps the union of the rows that construct
-    some output, so both give the same set from fewer cubes."""
-    per = _cube_counts(dsop(pla), pla)
+    """heuristic_mu's accumulation over dsop(pla). dsop keeps exactly the
+    union of pla's rows that construct some output, so the OFF-set counted
+    from its certified entries is pla's own."""
+    per = _cube_counts(dsop(pla))
     return _finish(METHOD_EXACT_CUBE, True, per, pla.m)
 
 
-def _cube_counts(cover: Pla, rows: Pla) -> dict[frozenset[int], int]:
+def _cube_counts(cover: Pla) -> dict[frozenset[int], int]:
     """Each entry of cover adds its cube's on-set size to its own output
     pattern's bucket. The empty pattern's bucket is then overwritten with
-    the exact OFF-set size: 2^n less the count of the union of the rows
-    that construct some output, which is the union of the m ON-sets."""
+    the exact OFF-set size: 2^n less the size of the union of the rows
+    that construct some output, which is the union of the m ON-sets. A
+    dsop-certified cover's rows are pairwise disjoint, so that size is the
+    sum of their buckets and no BDD is built; any other cover's union is
+    built and counted on a fresh manager."""
     per: dict[frozenset[int], int] = {}
     for cube, outs in cover.entries:
         per[outs] = per.get(outs, 0) + cube.on_size()
-    manager = Manager()
-    manager.add_vars("x%d" % (i + 1) for i in range(rows.n))
-    on = or_all(
-        [manager.from_cube(cube) for cube, outs in rows.entries if outs], manager
-    )
-    off_count = (1 << rows.n) - manager.sat_count(on, rows.n)
+    if cover.dsop_certified:
+        on_count = sum(count for outs, count in per.items() if outs)
+    else:
+        on = cover_union(cover.n, [cube for cube, outs in cover.entries if outs])
+        on_count = on.sat_count(cover.n)
+    off_count = (1 << cover.n) - on_count
     # rows that construct nothing were accumulated like any other; replace
     # that estimate with the true OFF-set size, dropping it when f is total
     if off_count:

@@ -164,6 +164,14 @@ def to_functions(
     return out
 
 
+def cover_union(n: int, cubes: list[Cube]) -> Func:
+    """OR of the cubes on a fresh manager whose variables are the inputs
+    x1..xn, in that order."""
+    manager = Manager()
+    manager.add_vars("x%d" % (i + 1) for i in range(n))
+    return or_all([manager.from_cube(cube) for cube in cubes], manager)
+
+
 def function_source(
     source: Union[Pla, list[Func]], n: Optional[int] = None
 ) -> tuple[int, int, Callable[[Manager, list[int]], list[Func]]]:

@@ -395,16 +395,21 @@ def exprs(nvars):
     )
 
 
-def build(manager, names, node):
+def build(manager, names, node, by_ite=False):
+    """The formula's node; by_ite takes and and or through ite."""
     if node[0] == "var":
         return manager.var(names[node[1]])
     if node[0] == "not":
-        return ~build(manager, names, node[1])
-    kids = [build(manager, names, kid) for kid in node[1:]]
+        return ~build(manager, names, node[1], by_ite)
+    kids = [build(manager, names, kid, by_ite) for kid in node[1:]]
     if node[0] == "ite":
         return manager.ite(*kids)
     fl, fr = kids
-    return {"and": fl & fr, "or": fl | fr, "xor": fl ^ fr, "xnor": fl.xnor(fr)}[node[0]]
+    if by_ite and node[0] == "and":
+        return manager.ite(fl, fr, manager.false)
+    if by_ite and node[0] == "or":
+        return manager.ite(fl, manager.true, fr)
+    return manager.apply(node[0], fl, fr)
 
 
 def py_eval(node, bits):
@@ -467,3 +472,72 @@ def test_restrict_matches_eval(node, assignment):
     assert set(g.support()).isdisjoint(assignment)
     if not assignment:
         assert g == f
+
+
+def ite_reduce(manager, funcs, op):
+    """and_all/or_all's balanced pairing, each pair joined by ite."""
+    work = list(funcs)
+    while len(work) > 1:
+        nxt = [
+            manager.ite(f, g, manager.false)
+            if op == "and"
+            else manager.ite(f, manager.true, g)
+            for f, g in zip(work[::2], work[1::2])
+        ]
+        work = nxt + work[-1:] if len(work) % 2 else nxt
+    return work[0]
+
+
+def ite_exists(manager, f, levels):
+    """Quantification with each quantified level joined by _ite(lo, 1, hi)."""
+    nodes, memo = manager._nodes, {}
+
+    def walk(x):
+        if x < 2 or nodes[x][0] > max(levels):
+            return x
+        if x not in memo:
+            lvl, lo, hi = nodes[x]
+            lo, hi = walk(lo), walk(hi)
+            if lvl in levels:
+                memo[x] = manager._ite(lo, 1, hi)
+            else:
+                memo[x] = manager._mk(lvl, lo, hi)
+        return memo[x]
+
+    return Func(manager, walk(f.node)) if levels else f
+
+
+def plain_dfs(manager, u):
+    seen, stack = set(), [u]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            if x >= 2:
+                stack += manager._nodes[x][1:]
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(exprs(NVARS), min_size=1, max_size=4),
+    st.sets(st.integers(0, NVARS - 1)),
+)
+def test_and_or_kernels_make_the_nodes_of_the_ite_core(nodes, levels):
+    # twin managers make the same calls in the same order: one through
+    # apply, and_all/or_all and exists, one through ite alone
+    kernel, core = Manager(), Manager()
+    names = ["x%d" % (i + 1) for i in range(NVARS)]
+    kernel.add_vars(names)
+    core.add_vars(names)
+    fs = [build(kernel, names, node) for node in nodes]
+    gs = [build(core, names, node, by_ite=True) for node in nodes]
+    got = [and_all(fs), or_all(fs)] + [kernel.exists(f, levels) for f in fs]
+    want = [ite_reduce(core, gs, "and"), ite_reduce(core, gs, "or")]
+    want += [ite_exists(core, g, levels) for g in gs]
+    assert [f.node for f in got] == [g.node for g in want]
+    assert kernel._nodes == core._nodes
+    assert kernel._memo.keys() == core._memo.keys()
+    for f in fs + got:
+        assert kernel._reachable(f.node) == plain_dfs(kernel, f.node)
+    assert kernel.true.dag_size() == kernel.false.dag_size() == 1

@@ -210,6 +210,8 @@ class TestEmbed:
         assert "Traceback" not in err
         assert err.startswith("resource limit:")
         assert err.count("\n") == 1
+        # the line names the width, not one command
+        assert "inputs past about 20000" in err
 
     def test_wide_pla_dump_exits_2(self, capsys, tmp_path):
         # every Bennett row has 4,004 cells: the dump's cell budget ends it

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -16,9 +17,11 @@ from revembed import (
     METHOD_HEURISTIC_CUBE,
     Cube,
     Manager,
+    Pla,
     ResourceLimitError,
     brute_mu,
     ceil_log2,
+    complete_offset,
     dsop,
     exact_mu_bdd,
     exact_mu_cube,
@@ -30,6 +33,7 @@ from revembed import (
 from helpers import random_pla
 
 DSOP_MODULE = importlib.import_module("revembed.dsop")
+LINECOUNT_MODULE = importlib.import_module("revembed.linecount")
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
@@ -209,6 +213,30 @@ class TestAgreement:
         pla = random_pla(random.Random(seed), n, m, 12)
         got = heuristic_mu(pla).per_pattern.get(frozenset())
         assert got == brute_mu(pla).per_pattern.get(frozenset())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_certified_off_set_is_counted_without_a_bdd(self, n, m, seed, offset):
+        # dsop keeps the rows with no outputs, and complete_offset adds more
+        pla = random_pla(random.Random(seed), n, m, 12)
+        cover = complete_offset(dsop(pla)) if offset else dsop(pla)
+        rows = Pla(cover.n, cover.m, cover.entries)
+        union = heuristic_mu(rows).per_pattern.get(frozenset())
+        with mock.patch.object(
+            LINECOUNT_MODULE, "cover_union", side_effect=AssertionError("BDD built")
+        ):
+            got = heuristic_mu(cover)
+            exact = exact_mu_cube(pla)
+        assert got.per_pattern.get(frozenset()) == union
+        want = brute_mu(pla)
+        assert pattern_map(got) == pattern_map(brute_mu(cover))
+        assert pattern_map(exact) == pattern_map(want)
+        assert union == want.per_pattern.get(frozenset())
 
     @pytest.mark.parametrize("name", ["r20c40", "r20c100"])
     def test_exact_bdd_matches_brute_force_at_width_limit(self, name):

@@ -6,9 +6,10 @@ Usage: python3 tools/cli_digest.py SRC_DIR
 With one directory it imports ``revembed`` from SRC_DIR (the ``src``
 directory of a checkout) and runs a fixed list of commands in-process on
 the shipped PLAs and on the ``perfbench/corpus`` covers with 16 or fewer
-inputs, plus the ``lines`` counts of the wider covers in ``WIDE_COVERS``
-and the Bennett and exact embeddings and exact-bdd count of the
-benchmark's two-cube PLA with ``PAIR_INPUTS`` inputs.
+inputs, plus the ``lines`` counts of the wider covers in ``WIDE_COVERS``,
+the checked Bennett relation of ``WIDE_DOT_COVER`` as dot, and the Bennett
+and exact embeddings and exact-bdd count of the benchmark's two-cube PLA
+with ``PAIR_INPUTS`` inputs.
 For each command it prints one line: the exit code, the md5 of stdout, and
 the command. Two checkouts produce identical output exactly when every
 command exits the same way and writes the same bytes, ``--format dot`` node
@@ -65,6 +66,10 @@ WIDE_FILE = [
     ["lines", "--method", "exact-bdd"],
     ["lines", "--method", "heuristic"],
 ]
+# with GEN's redundancy 10 10, the largest and/or builds of the benchmark's
+# symbolic-count workload: their raw dot md5s pin node ids at that scale
+WIDE_DOT_COVER = "r20c40"
+WIDE_DOT = ["embed", "--bennett", "--verify", "--format", "dot"]
 
 # x1 = 1 drives output 1 and the last input output 2: every x/g level of
 # the Bennett relation is a plain copy, which a wide input stresses, the
@@ -88,6 +93,7 @@ GEN = [
     ["gen", "rgs", "4", "--embed"],
     ["gen", "rgs", "4", "--format", "dot"],
     ["gen", "rgs", "6", "--embed"],
+    ["gen", "redundancy", "10", "10", "--format", "dot"],
 ]
 
 
@@ -246,6 +252,8 @@ def main(argv=None) -> int:
     jobs = [(cmd + [str(p)], cmd + [p.name]) for p in inputs for cmd in PER_FILE]
     wide = [CORPUS / ("%s.pla" % name) for name in WIDE_COVERS]
     jobs += [(cmd + [str(p)], cmd + [p.name]) for p in wide for cmd in WIDE_FILE]
+    dot_cover = CORPUS / ("%s.pla" % WIDE_DOT_COVER)
+    jobs.append((WIDE_DOT + [str(dot_cover)], WIDE_DOT + [dot_cover.name]))
     jobs += [(cmd, cmd) for cmd in GEN]
     with tempfile.TemporaryDirectory() as tmp:
         for p in inputs:
