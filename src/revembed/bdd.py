@@ -18,6 +18,12 @@ exists run two-operand recursions, as CUDD (Somenzi) does, that decide a
 constant or equal pair of children without a call. These make the same
 nodes in the same order and the same table entries as the general one.
 
+restrict, exists and transfer are one memoised walk, _rebuild, that copies
+a node table's nodes down to the deepest level with a rule, low child first.
+A rule moves its level to a target level (transfer), replaces it by its low
+or high child (restrict), or by the or of its children on the computed
+table (exists); a level without a rule stays as it is.
+
 Counting helpers use Python integers throughout, so satisfying-assignment
 counts stay exact at thousands of variables. Counts and supports are read
 per call from one pass over the reachable nodes and never cached. Managers
@@ -99,7 +105,8 @@ class Func:
 
 class Manager:
     """Shared node store plus the computed table of the combinators, which
-    keeps one entry per standard ite triple.
+    keeps one entry per standard ite triple. restrict, exists and transfer
+    rebuild a function by a rule per level in one walk with its own memo.
 
     A variable is its level, the position in the variable order, which this
     manager assigns in creation order: the first variable added is level 0.
@@ -284,43 +291,14 @@ class Manager:
         for v in fixed.values():
             if v not in (0, 1):
                 raise ValueError("restriction values must be 0 or 1")
-        if not fixed:
-            return f
-        return Func(self, self._restrict(u, fixed, max(fixed), {}))
-
-    def _restrict(
-        self, x: int, fixed: dict[int, int], deepest: int, memo: dict[int, int]
-    ) -> int:
-        if x < 2:
-            return x
-        lvl, lo, hi = self._nodes[x]
-        if lvl > deepest:
-            return x
-        got = memo.get(x)
-        if got is not None:
-            return got
-        if lvl in fixed:
-            out = self._restrict(hi if fixed[lvl] else lo, fixed, deepest, memo)
-        else:
-            out = self._mk(
-                lvl,
-                self._restrict(lo, fixed, deepest, memo),
-                self._restrict(hi, fixed, deepest, memo),
-            )
-        memo[x] = out
-        return out
+        rules = {lvl: _HIGH if v else _LOW for lvl, v in fixed.items()}
+        return self._rebuilt(self, u, rules)
 
     def exists(self, f: Func, variables) -> Func:
         """Existentially quantify the given variables out of f."""
         u = self._check(f)
-        levels = frozenset(self._resolve(v) for v in variables)
-        if not levels:
-            return f
-        deepest = max(levels)
-        if u < 2 or self._nodes[u][0] > deepest:
-            return f
-        nodes, unique, memo = self._nodes, self._unique, self._memo
-        return Func(self, _exists(u, levels, deepest, nodes, unique, memo, {}))
+        rules = {self._resolve(v): _JOIN for v in variables}
+        return self._rebuilt(self, u, rules)
 
     def from_cube(self, cube: Cube, xs: Optional[list[int]] = None) -> Func:
         """Conjunction of a cube's literals; the inverse of enumerate_paths.
@@ -376,26 +354,22 @@ class Manager:
         targets = [t for _, t in items]
         if targets != sorted(targets):
             raise ValueError("transfer map must preserve relative order")
-        return Func(self, self._transfer(src._nodes, src._check(f), mapping, {}))
+        u = src._check(f)
+        # the walk keeps a level without a rule, so every level needs one
+        unmapped = src._levels(u) - mapping.keys()
+        if unmapped:
+            level = min(unmapped)
+            raise ValueError("support variable at level %d is unmapped" % level)
+        return self._rebuilt(src, u, mapping)
 
-    def _transfer(
-        self, nodes: list, x: int, mapping: dict[int, int], memo: dict[int, int]
-    ) -> int:
-        if x < 2:
-            return x
-        got = memo.get(x)
-        if got is not None:
-            return got
-        lvl, lo, hi = nodes[x]
-        if lvl not in mapping:
-            raise ValueError("support variable at level %d is unmapped" % lvl)
-        out = self._mk(
-            mapping[lvl],
-            self._transfer(nodes, lo, mapping, memo),
-            self._transfer(nodes, hi, mapping, memo),
-        )
-        memo[x] = out
-        return out
+    def _rebuilt(self, src: "Manager", u: int, rules: dict) -> Func:
+        """Node u of src rebuilt on this manager by rules, walked down to the
+        deepest ruled level; u itself when that level is above u's (always
+        for a terminal, whose level is TERMINAL_LEVEL)."""
+        if rules and src._nodes[u][0] <= max(rules):
+            nodes, unique, memo = self._nodes, self._unique, self._memo
+            u = _rebuild(u, rules, max(rules), src._nodes, nodes, unique, memo, {})
+        return Func(self, u)
 
     # ------------------------------------------------------------ analysis
 
@@ -692,32 +666,52 @@ def _or(u: int, w: int, nodes: list, unique: dict, memo: dict) -> int:
     return out
 
 
-def _exists(
+# Rules of _rebuild: a level maps to a target level (>= 0) or to one of these
+_JOIN = -1
+_LOW = -2
+_HIGH = -3
+
+
+def _rebuild(
     x: int,
-    levels: frozenset[int],
+    rules: dict[int, int],
     deepest: int,
+    src: list,
     nodes: list,
     unique: dict,
     table: dict,
     memo: dict[int, int],
 ) -> int:
-    """x with levels quantified out, for a non-terminal x whose level is at
-    most deepest. A quantified level joins its children with the or kernel
-    on the computed table; memo holds this quantification's results."""
+    """x, a non-terminal of the node list src at most deepest deep, rebuilt
+    on the given node, unique and computed tables by the rule of its level:
+    a target level moves the node there, _LOW and _HIGH replace it by that
+    child and _JOIN by the or of its children; a level without a rule stays.
+    Nodes below deepest are kept as they are, so src may belong to another
+    manager only when the rules cover the support. memo holds this walk's
+    results."""
     out = memo.get(x)
     if out is not None:
         return out
-    lvl, lo, hi = nodes[x]
-    if lo >= 2 and nodes[lo][0] <= deepest:
-        lo = _exists(lo, levels, deepest, nodes, unique, table, memo)
-    if hi >= 2 and nodes[hi][0] <= deepest:
-        hi = _exists(hi, levels, deepest, nodes, unique, table, memo)
-    if lvl in levels:
+    lvl, lo, hi = src[x]
+    rule = rules.get(lvl)
+    if rule is None:
+        rule = lvl
+    elif rule < _JOIN:
+        out = hi if rule == _HIGH else lo
+        if out >= 2 and src[out][0] <= deepest:
+            out = _rebuild(out, rules, deepest, src, nodes, unique, table, memo)
+        memo[x] = out
+        return out
+    if lo >= 2 and src[lo][0] <= deepest:
+        lo = _rebuild(lo, rules, deepest, src, nodes, unique, table, memo)
+    if hi >= 2 and src[hi][0] <= deepest:
+        hi = _rebuild(hi, rules, deepest, src, nodes, unique, table, memo)
+    if rule == _JOIN:
         out = _or_top(lo, hi, nodes, unique, table)
     elif lo == hi:
         out = lo
     else:
-        node = (lvl, lo, hi)
+        node = (rule, lo, hi)
         out = unique.get(node)
         if out is None:
             out = len(nodes)

@@ -266,7 +266,7 @@ def _cmd_bench(args) -> int:
         study = None
     measured = []
     for path in sorted(directory.glob("*.pla")):
-        pla = parse_pla(path.read_text())
+        pla = _read_pla(path)
         reports, seconds = {}, {}
         for key, method in (("heuristic", "heuristic"), ("exact", "exact-bdd")):
             t0 = time.monotonic()

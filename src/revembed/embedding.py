@@ -33,11 +33,6 @@ from .errors import ResourceLimitError
 from .linecount import heuristic_mu
 from .pla import Pla, characteristic, cover_union, function_source
 
-ROLE_CONSTANT = "constant"
-ROLE_INPUT = "input"
-ROLE_OUTPUT = "output"
-ROLE_GARBAGE = "garbage"
-
 # most rows, and most cells (rows times columns), an extended PLA dump may
 # hold: one row of a 20,000-input Bennett relation alone has 40,004 cells
 MAX_DUMP_ROWS = 1 << 16
@@ -69,18 +64,6 @@ class RcBdd:
 
     def node_count(self) -> int:
         return self.manager.dag_size(self.chi)
-
-    def roles(self) -> dict[int, tuple[str, int]]:
-        out = {}
-        for i, v in enumerate(self.kappa):
-            out[v] = (ROLE_CONSTANT, i + 1)
-        for i, v in enumerate(self.xs):
-            out[v] = (ROLE_INPUT, i + 1)
-        for i, v in enumerate(self.ys):
-            out[v] = (ROLE_OUTPUT, i + 1)
-        for i, v in enumerate(self.gammas):
-            out[v] = (ROLE_GARBAGE, i + 1)
-        return out
 
     def summary(self) -> dict:
         return {

@@ -80,6 +80,29 @@ def and_all_bennett_chi(rc, source) -> Func:
     return and_all(terms, manager)
 
 
+def mk_rebuild(target: Manager, f: Func, move=None, fixed=None) -> Func:
+    """f rebuilt on target by a plain _mk recursion over all of f's nodes,
+    low child first: a level in fixed is replaced by its fixed child, any
+    other is made at move[level] (its own level when move is None). The
+    reference for restrict (fixed) and transfer (move)."""
+    nodes, memo = f.manager._nodes, {}
+    fixed = fixed or {}
+
+    def walk(x):
+        if x < 2:
+            return x
+        if x not in memo:
+            lvl, lo, hi = nodes[x]
+            if lvl in fixed:
+                memo[x] = walk(hi if fixed[lvl] else lo)
+            else:
+                level = lvl if move is None else move[lvl]
+                memo[x] = target._mk(level, walk(lo), walk(hi))
+        return memo[x]
+
+    return Func(target, walk(f.node))
+
+
 def two_cube_pla(n: int) -> str:
     """PLA text over n inputs: x1 = 1 drives output 1, x_n = 1 output 2."""
     return ".i %d\n.o 2\n1%s 10\n%s1 01\n.e\n" % (n, "-" * (n - 1), "-" * (n - 1))

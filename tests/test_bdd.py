@@ -15,7 +15,7 @@ from revembed import (
     redundancy,
 )
 
-from helpers import cube_points
+from helpers import cube_points, mk_rebuild
 
 
 @pytest.fixture
@@ -189,6 +189,23 @@ class TestSemantics:
         g = a & ~a
         assert mgr.exists(g, ["a"]).is_false
 
+    def test_restrict_rejects_a_value_other_than_0_or_1(self, mgr):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            mgr.restrict(mgr.var("a"), {"a": 2})
+
+    def test_nothing_to_rebuild_returns_f(self, mgr):
+        f = mgr.var("b") & mgr.var("c")
+        before = mgr.node_count()
+        assert mgr.restrict(f, {}) == f
+        assert mgr.exists(f, []) == f
+        # every rule above f's top level
+        assert mgr.restrict(f, {"a": 1}) == f
+        assert mgr.exists(f, ["a"]) == f
+        for t in (mgr.true, mgr.false):
+            assert mgr.restrict(t, {"a": 0, "d": 1}) == t
+            assert mgr.exists(t, ["a", "d"]) == t
+        assert mgr.node_count() == before
+
     def test_cube(self, mgr):
         f = mgr.cube({"a": 1, "c": 0})
         assert mgr.eval(f, {"a": 1, "b": 0, "c": 0, "d": 1}) == 1
@@ -348,14 +365,27 @@ class TestTransfer:
         with pytest.raises(ValueError):
             dst.transfer(f, {0: dst.vars[1], 1: dst.vars[0]})
 
+    def test_transfer_rejects_a_func_of_its_own_manager(self, mgr):
+        with pytest.raises(ValueError, match="foreign"):
+            mgr.transfer(mgr.var("a"), {0: 0})
+
+    def test_transfer_of_a_terminal_is_that_terminal(self):
+        src, dst = Manager(), Manager()
+        src.add_vars(["p"])
+        dst.add_vars(["u0"])
+        assert dst.transfer(src.true, {}) == dst.true
+        assert dst.transfer(src.false, {0: 0}) == dst.false
+        assert dst.node_count() == 2
+
     def test_transfer_needs_full_support(self):
         src = Manager()
         src.add_vars(["p", "q"])
         f = src.var("p") & src.var("q")
         dst = Manager()
         dst.add_vars(["u0"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="level 1 is unmapped"):
             dst.transfer(f, {0: dst.vars[0]})
+        assert dst.node_count() == 2
 
 
 # random expression trees, checked pointwise against a python evaluator
@@ -541,3 +571,36 @@ def test_and_or_kernels_make_the_nodes_of_the_ite_core(nodes, levels):
     for f in fs + got:
         assert kernel._reachable(f.node) == plain_dfs(kernel, f.node)
     assert kernel.true.dag_size() == kernel.false.dag_size() == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    exprs(NVARS),
+    st.dictionaries(st.integers(0, NVARS - 1), st.integers(0, 1), max_size=NVARS),
+    st.sets(st.integers(0, 2 * NVARS - 1), min_size=NVARS, max_size=NVARS),
+)
+def test_restrict_and_transfer_make_the_nodes_of_a_plain_recursion(
+    node, assignment, targets
+):
+    # twin managers make the same calls: one through restrict and transfer,
+    # one through the reference recursion, which also visits the nodes
+    # below the deepest fixed level
+    walk, plain = Manager(), Manager()
+    names = ["x%d" % (i + 1) for i in range(NVARS)]
+    walk.add_vars(names)
+    plain.add_vars(names)
+    f, g = build(walk, names, node), build(plain, names, node)
+    got = [f, walk.restrict(f, assignment)]
+    want = [g, mk_rebuild(plain, g, fixed=assignment)]
+    assert [h.node for h in got] == [h.node for h in want]
+    assert walk._nodes == plain._nodes
+    assert walk._memo.keys() == plain._memo.keys()
+    # both onto a wider manager, the second reusing the first's nodes
+    walk_dst, plain_dst = Manager(), Manager()
+    walk_dst.add_vars("u%d" % i for i in range(2 * NVARS))
+    plain_dst.add_vars("u%d" % i for i in range(2 * NVARS))
+    move = dict(enumerate(sorted(targets)))
+    moved = [walk_dst.transfer(h, move) for h in got]
+    ref = [mk_rebuild(plain_dst, h, move=move) for h in want]
+    assert [h.node for h in moved] == [h.node for h in ref]
+    assert walk_dst._nodes == plain_dst._nodes

@@ -294,6 +294,21 @@ class TestBench:
         code, _, err = run(capsys, "bench", RUNNING)
         assert code == 1
 
+    def test_unreadable_entry_is_a_usage_error(self, capsys, tmp_path):
+        (tmp_path / "a.pla").write_text(Path(RUNNING).read_text())
+        (tmp_path / "sub.pla").mkdir()
+        code, out, err = run(capsys, "bench", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sub.pla" in err
+
+    def test_output_dc_warning(self, capsys, tmp_path):
+        (tmp_path / "dc.pla").write_text(".i 2\n.o 2\n11 1~\n.e\n")
+        code, out, err = run(capsys, "bench", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["results"][0]["file"] == "dc.pla"
+        assert err.startswith("warning: '-'/'~' in the output plane")
+
     @pytest.mark.parametrize(
         "option,value", [("--ordering-study", "-1"), ("--samples", "-3")]
     )

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import revembed.bdd
 from revembed import (
     Cube,
     Func,
@@ -234,41 +235,47 @@ class TestVerify:
         assert rep.functional and rep.injective
 
     @staticmethod
-    def _restrict_kappa(name):
+    def _restrict_kappa(monkeypatch, name):
         """verify's kappa = 0 restriction of name's exact embedding with
-        offset: (rc, chi0, _mk calls made, nodes created)."""
+        offset: (rc, chi0, nodes the _rebuild frames walked, nodes created)."""
         pla = dsop(complete_offset(parse_pla((CORPUS / (name + ".pla")).read_text())))
         rc = embed_exact(pla)
         manager = rc.manager
-        made = []
-        real_mk = manager._mk
-        manager._mk = lambda *key: made.append(key) or real_mk(*key)
+        walked = []
+        real_rebuild = revembed.bdd._rebuild
+        # the walk calls itself through the module global, so every frame
+        # goes through the wrapper
+        monkeypatch.setattr(
+            revembed.bdd,
+            "_rebuild",
+            lambda x, *rest: walked.append(x) or real_rebuild(x, *rest),
+        )
         before = manager.node_count()
         chi0 = manager.restrict(rc.chi, {k: 0 for k in rc.kappa})
         created = manager.node_count() - before
-        del manager._mk
+        monkeypatch.undo()
         # every entry has kappa = 0, so the restriction drops kappa alone
         assert chi0 == manager.exists(rc.chi, rc.kappa)
-        return rc, chi0, made, created
+        return rc, chi0, walked, created
 
-    def test_restricting_kappa_creates_no_node(self):
+    def test_restricting_kappa_creates_no_node(self, monkeypatch):
         # z4 has one constant line, kappa = level 0, above every other
-        rc, chi0, made, created = self._restrict_kappa("z4")
+        rc, chi0, walked, created = self._restrict_kappa(monkeypatch, "z4")
         assert rc.kappa == [0]
-        assert (made, created) == ([], 0)
+        assert (walked, created) == ([rc.chi.node], 0)
         assert chi0 == rc.manager.node_branches(rc.chi)[0]
 
-    def test_restrict_stops_below_the_deepest_fixed_level(self):
+    def test_restrict_stops_below_the_deepest_fixed_level(self, monkeypatch):
         # r14c8's eight kappa levels interleave with the outputs: only
-        # nodes above the last kappa level are rebuilt
-        rc, _, made, created = self._restrict_kappa("r14c8")
+        # nodes at or above the last kappa level are walked
+        rc, _, walked, created = self._restrict_kappa(monkeypatch, "r14c8")
         manager, deepest = rc.manager, max(rc.kappa)
         above = [
             u
             for u in manager._reachable(rc.chi.node)
-            if manager._nodes[u][0] < deepest
+            if manager._nodes[u][0] <= deepest
         ]
-        assert created <= len(made) <= len(above) < rc.node_count() // 100
+        assert created <= len(walked) <= len(above) < rc.node_count() // 100
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3))
@@ -488,13 +495,10 @@ class TestOrderingComparison:
 class TestRoles:
     def test_role_partition(self, underapprox_dsop3):
         rc = embed_exact(underapprox_dsop3)
-        roles = rc.roles()
-        assert len(roles) == 2 * rc.r
-        kinds = [kind for kind, _ in roles.values()]
-        assert kinds.count("constant") == rc.p
-        assert kinds.count("input") == rc.n
-        assert kinds.count("output") == rc.m
-        assert kinds.count("garbage") == rc.ell
+        # the four groups split the 2r levels between them
+        assert sorted(rc.kappa + rc.xs + rc.ys + rc.gammas) == list(range(2 * rc.r))
+        lengths = [len(rc.kappa), len(rc.xs), len(rc.ys), len(rc.gammas)]
+        assert lengths == [rc.p, rc.n, rc.m, rc.ell]
 
 
 class TestRandomized:
