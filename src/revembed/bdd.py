@@ -13,10 +13,11 @@ ite(f, not g, g) and xnor is ite(f, g, not g). Before the table is
 consulted, each call is put into a standard triple -- ite(f, f, h) becomes
 ite(f, 1, h), ite(f, g, f) becomes ite(f, g, 0), and the operands of and/or
 are ordered -- so equivalent calls share one entry. ite, not, xor and xnor
-run the general recursion; and, or (with and_all/or_all) and the join of
-exists run two-operand recursions, as CUDD (Somenzi) does, that decide a
-constant or equal pair of children without a call. These make the same
-nodes in the same order and the same table entries as the general one.
+run the general recursion. and, or (with and_all/or_all) and the join of
+exists run one two-operand kernel, as CUDD (Somenzi) does, keyed by the
+constant that absorbs the other operand: 0 for and, 1 for or. It decides a
+constant or equal pair of children without a call, and makes the same nodes
+in the same order and the same table entries as the general recursion.
 
 restrict, exists and transfer are one memoised walk, _rebuild, that copies
 a node table's nodes down to the deepest level with a rule, low child first.
@@ -167,7 +168,10 @@ class Manager:
     def _resolve(self, var) -> int:
         """The level of a variable given by level or by name."""
         if isinstance(var, str):
-            return self._by_name[var]
+            level = self._by_name.get(var)
+            if level is None:
+                raise ValueError("no variable named %r" % var)
+            return level
         if isinstance(var, int):
             if not 0 <= var < len(self._names):
                 raise ValueError("no variable at level %d" % var)
@@ -223,9 +227,9 @@ class Manager:
         u, v = self._check(f), self._check(g)
         op = op.lower()
         if op == "and":
-            out = _and_top(u, v, self._nodes, self._unique, self._memo)
+            out = _and_or_top(u, v, 0, self._nodes, self._unique, self._memo)
         elif op == "or":
-            out = _or_top(u, v, self._nodes, self._unique, self._memo)
+            out = _and_or_top(u, v, 1, self._nodes, self._unique, self._memo)
         elif op == "xor":
             out = 0 if u == v else self._ite(u, self._ite(v, 0, 1), v)
         elif op == "xnor":
@@ -336,7 +340,10 @@ class Manager:
             if care & bit:
                 raise ValueError("conflicting literals for one variable")
             care |= bit
-            if int(v):
+            v = int(v)
+            if v not in (0, 1):
+                raise ValueError("literal values must be 0 or 1")
+            if v:
                 value |= bit
         return self.from_cube(Cube(len(self._names), care, value))
 
@@ -537,29 +544,31 @@ def _reduce(op: str, funcs: list[Func], manager: Optional[Manager], empty: int) 
     return work[0]
 
 
-# The two-operand kernels below are and and or of the ITE core, node for node:
-# they keep _ite's standard-triple computed-table keys, (u, v, 0) for and and
-# (u, 1, w) for or with u the smaller operand, recurse low first, and make
+# _and_or is both and and or of the ITE core, node for node, keyed by z, the
+# constant that absorbs the other operand: 0 for and, 1 for or. The kernel
+# keeps _ite's standard-triple computed-table keys, (u, v, 0) for and and
+# (u, 1, v) for or with u the smaller operand, recurses low first, and makes
 # each node as _mk does. A child pair that is a constant or an equal pair is
 # decided in the caller's frame, so it costs no call.
 
 
-def _and_top(u: int, v: int, nodes: list, unique: dict, memo: dict) -> int:
-    """Node of u and v on the given node, unique and computed tables."""
+def _and_or_top(u: int, v: int, z: int, nodes: list, unique: dict, memo: dict) -> int:
+    """Node of u and v (z = 0) or of u or v (z = 1) on the given node,
+    unique and computed tables."""
     if u < 2:
-        return v if u else 0
+        return z if u == z else v
     if v < 2:
-        return u if v else 0
+        return z if v == z else u
     if u == v:
         return u
     if u < v:
-        return _and(u, v, nodes, unique, memo)
-    return _and(v, u, nodes, unique, memo)
+        return _and_or(u, v, z, nodes, unique, memo)
+    return _and_or(v, u, z, nodes, unique, memo)
 
 
-def _and(u: int, v: int, nodes: list, unique: dict, memo: dict) -> int:
-    """u and v for non-terminal u < v."""
-    key = (u, v, 0)
+def _and_or(u: int, v: int, z: int, nodes: list, unique: dict, memo: dict) -> int:
+    """u and v (z = 0) or u or v (z = 1) for non-terminal u < v."""
+    key = (u, 1, v) if z else (u, v, 0)
     out = memo.get(key)
     if out is not None:
         return out
@@ -573,86 +582,25 @@ def _and(u: int, v: int, nodes: list, unique: dict, memo: dict) -> int:
         if lv < lu:
             u0 = u1 = u
     if u0 < 2:
-        lo = v0 if u0 else 0
+        lo = z if u0 == z else v0
     elif v0 < 2:
-        lo = u0 if v0 else 0
+        lo = z if v0 == z else u0
     elif u0 == v0:
         lo = u0
     elif u0 < v0:
-        lo = _and(u0, v0, nodes, unique, memo)
+        lo = _and_or(u0, v0, z, nodes, unique, memo)
     else:
-        lo = _and(v0, u0, nodes, unique, memo)
+        lo = _and_or(v0, u0, z, nodes, unique, memo)
     if u1 < 2:
-        hi = v1 if u1 else 0
+        hi = z if u1 == z else v1
     elif v1 < 2:
-        hi = u1 if v1 else 0
+        hi = z if v1 == z else u1
     elif u1 == v1:
         hi = u1
     elif u1 < v1:
-        hi = _and(u1, v1, nodes, unique, memo)
+        hi = _and_or(u1, v1, z, nodes, unique, memo)
     else:
-        hi = _and(v1, u1, nodes, unique, memo)
-    if lo == hi:
-        out = lo
-    else:
-        node = (top, lo, hi)
-        out = unique.get(node)
-        if out is None:
-            out = len(nodes)
-            nodes.append(node)
-            unique[node] = out
-    memo[key] = out
-    return out
-
-
-def _or_top(u: int, w: int, nodes: list, unique: dict, memo: dict) -> int:
-    """Node of u or w on the given node, unique and computed tables."""
-    if u < 2:
-        return 1 if u else w
-    if w < 2:
-        return 1 if w else u
-    if u == w:
-        return u
-    if u < w:
-        return _or(u, w, nodes, unique, memo)
-    return _or(w, u, nodes, unique, memo)
-
-
-def _or(u: int, w: int, nodes: list, unique: dict, memo: dict) -> int:
-    """u or w for non-terminal u < w."""
-    key = (u, 1, w)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    lu, u0, u1 = nodes[u]
-    lw, w0, w1 = nodes[w]
-    if lu < lw:
-        top = lu
-        w0 = w1 = w
-    else:
-        top = lw
-        if lw < lu:
-            u0 = u1 = u
-    if u0 < 2:
-        lo = 1 if u0 else w0
-    elif w0 < 2:
-        lo = 1 if w0 else u0
-    elif u0 == w0:
-        lo = u0
-    elif u0 < w0:
-        lo = _or(u0, w0, nodes, unique, memo)
-    else:
-        lo = _or(w0, u0, nodes, unique, memo)
-    if u1 < 2:
-        hi = 1 if u1 else w1
-    elif w1 < 2:
-        hi = 1 if w1 else u1
-    elif u1 == w1:
-        hi = u1
-    elif u1 < w1:
-        hi = _or(u1, w1, nodes, unique, memo)
-    else:
-        hi = _or(w1, u1, nodes, unique, memo)
+        hi = _and_or(v1, u1, z, nodes, unique, memo)
     if lo == hi:
         out = lo
     else:
@@ -707,7 +655,7 @@ def _rebuild(
     if hi >= 2 and src[hi][0] <= deepest:
         hi = _rebuild(hi, rules, deepest, src, nodes, unique, table, memo)
     if rule == _JOIN:
-        out = _or_top(lo, hi, nodes, unique, table)
+        out = _and_or_top(lo, hi, 1, nodes, unique, table)
     elif lo == hi:
         out = lo
     else:

@@ -216,6 +216,13 @@ class TestSemantics:
         with pytest.raises(ValueError):
             mgr.cube({"a": 1, 0: 1})
 
+    @pytest.mark.parametrize("literals", [{"a": -1}, {0: 2}, {"a": 1, "c": 2}])
+    def test_cube_rejects_a_literal_value_other_than_0_or_1(self, mgr, literals):
+        before = mgr.node_count()
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            mgr.cube(literals)
+        assert mgr.node_count() == before
+
     def test_from_cube_matches_literal_cube(self, mgr):
         c = Cube.parse("1-0-")
         assert mgr.from_cube(c) == mgr.cube({"a": 1, "c": 0})
@@ -337,6 +344,20 @@ class TestLevels:
             mgr.var(bad)
         with pytest.raises(ValueError):
             mgr.cube({bad: 1})
+
+    def test_unknown_name_is_rejected(self, mgr):
+        f = mgr.var("a")
+        calls = [
+            lambda: mgr.var("zz"),
+            lambda: mgr.nvar("zz"),
+            lambda: mgr.eval(f, {"a": 1, "zz": 1}),
+            lambda: mgr.restrict(f, {"zz": 1}),
+            lambda: mgr.exists(f, ["zz"]),
+            lambda: mgr.cube({"zz": 1}),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="no variable named 'zz'"):
+                call()
 
     def test_support_is_levels(self, mgr):
         f = mgr.var("b") & ~mgr.var("d")
