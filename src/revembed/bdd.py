@@ -291,7 +291,7 @@ class Manager:
     def restrict(self, f: Func, assignment: dict) -> Func:
         """Fix the given variables to constants."""
         u = self._check(f)
-        fixed = {self._resolve(k): int(v) for k, v in assignment.items()}
+        fixed = {self._resolve(k): v for k, v in assignment.items()}
         for v in fixed.values():
             if v not in (0, 1):
                 raise ValueError("restriction values must be 0 or 1")
@@ -340,7 +340,6 @@ class Manager:
             if care & bit:
                 raise ValueError("conflicting literals for one variable")
             care |= bit
-            v = int(v)
             if v not in (0, 1):
                 raise ValueError("literal values must be 0 or 1")
             if v:
@@ -422,21 +421,19 @@ class Manager:
 
     def eval(self, f: Func, assignment) -> int:
         """Pointwise evaluation. assignment is indexed by variable index
-        (sequence) or keyed by variable (mapping); every support variable
-        must be assigned."""
+        (sequence) or keyed by variable (mapping); every value must be 0 or
+        1, and every support variable must be assigned."""
         u = self._check(f)
         if isinstance(assignment, dict):
-            byidx = {self._resolve(k): int(v) for k, v in assignment.items()}
-            lookup = byidx.get
+            values = {self._resolve(k): v for k, v in assignment.items()}
         else:
-            seq = list(assignment)
-
-            def lookup(level):
-                return seq[level] if level < len(seq) else None
-
+            values = dict(enumerate(assignment))
+        for v in values.values():
+            if v not in (0, 1):
+                raise ValueError("assignment values must be 0 or 1")
         while u >= 2:
             lvl, lo, hi = self._nodes[u]
-            bit = lookup(lvl)
+            bit = values.get(lvl)
             if bit is None:
                 raise ValueError(
                     "no value for support variable %r" % (self._names[lvl],)

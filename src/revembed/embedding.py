@@ -9,17 +9,21 @@ this interleaving is what keeps chi_g of a reversible function small.
 
 embed_exact assigns garbage values cube by cube: the points of a cube take
 the next #on(c) consecutive values of their output pattern's garbage word,
-gamma = offset + rank(x). Each such relation cube is built directly through
-the manager's node constructor by one memoised walk down the x/g levels,
-whose state is the level and the residual offset + rank - gamma over the
-bits read so far; the word is right where the residual ends at 0. It
-reaches the optimal ell = ceil(log2 mu) but leaves the nonzero constant
-planes unspecified. embed_bennett instead copies every input through
-(y_i = kappa_i xor f_i(x), gamma = x), total and simple, at the generic
-width n + m. It conjoins only the m output terms, then plants each copy
-gamma_j = x_j under the x_j level of that conjunction with one memoised
-walk through the node constructor, so the n copy terms are never
-conjoined one by one.
+gamma = offset + rank(x). chi is built through the manager's node
+constructor alone, with no | and no node outside chi. Each output
+pattern's x/g region is one memoised walk down the x/g levels whose state
+is the set of the pattern's entries still live, each with its residual
+offset + rank - gamma over the bits read so far; a point's word is right
+where its entry's residual ends at 0. Once one entry is left, the walk
+goes on in that entry's own walk. chi is then a trie over the kappa and y
+levels, kappa = 0 and the y bits spelling each pattern, with that
+pattern's region at each leaf. It reaches the optimal ell = ceil(log2 mu)
+but leaves the nonzero constant planes unspecified. embed_bennett instead
+copies every input through (y_i = kappa_i xor f_i(x), gamma = x), total
+and simple, at the generic width n + m. It conjoins only the m output
+terms, then plants each copy gamma_j = x_j under the x_j level of that
+conjunction with one memoised walk through the node constructor, so the
+n copy terms are never conjoined one by one.
 """
 from __future__ import annotations
 
@@ -132,22 +136,41 @@ def _entry_builder(
     reads the cube's don't-care inputs (ascending positions) as a binary
     number, the first least significant. Points whose word would not fit
     in ell bits are left out; embed_exact keeps offset + #on(cube) <= 2^ell.
-    The x/g block is one _entry_walk, the kappa and y literals chained on top.
+    This is embed_exact's one-entry, one-pattern case: the x/g block is one
+    _entry_walk, the kappa and y levels one path of _pattern_trie on top.
     """
-    # (level, output index); kappa gets index 0, which no pattern holds
-    top = sorted(
-        [(v, 0) for v in kappa] + [(v, i + 1) for i, v in enumerate(ys)],
-        reverse=True,
-    )
+    top = _top_levels(kappa, ys)
     mk = manager._mk
 
     def build(cube: Cube, outs: frozenset[int], offset: int) -> Func:
         node = _entry_walk(0, 0, _entry_steps(xs, gammas, cube, offset), mk, {})
-        for level, idx in top:
-            node = mk(level, 0, node) if idx in outs else mk(level, node, 0)
-        return Func(manager, node)
+        return Func(manager, _pattern_trie(0, [(outs, node)], top, mk))
 
     return build
+
+
+def _top_levels(kappa: list[int], ys: list[int]) -> list[tuple[int, int]]:
+    """The kappa and y levels, top down, as (level, output index); kappa
+    gets index 0, which no pattern holds."""
+    return sorted([(v, 0) for v in kappa] + [(v, i + 1) for i, v in enumerate(ys)])
+
+
+def _pattern_trie(i: int, regions: list, top: list, mk) -> int:
+    """The node over top[i:] of the patterns in regions, a list of
+    (pattern, x/g region node) with distinct patterns: a kappa level keeps
+    its low branch only, a y level sends the patterns holding its output
+    high and the others low, and below the last level one pattern is left,
+    whose region is the node. Low branch first; one frame per level."""
+    if not regions:
+        return 0
+    if i == len(top):
+        return regions[0][1]
+    level, idx = top[i]
+    if idx == 0:
+        return mk(level, _pattern_trie(i + 1, regions, top, mk), 0)
+    lo = _pattern_trie(i + 1, [r for r in regions if idx not in r[0]], top, mk)
+    hi = _pattern_trie(i + 1, [r for r in regions if idx in r[0]], top, mk)
+    return mk(level, lo, hi)
 
 
 def _entry_steps(xs: list[int], gammas: list[int], cube: Cube, offset: int) -> list:
@@ -213,19 +236,65 @@ def _entry_walk(k: int, owed: int, steps: list, mk, memo: dict) -> int:
     return got
 
 
+def _pattern_walk(
+    k: int, state: tuple, steps: list, mk, memos: list, memo: dict
+) -> int:
+    """The node of one pattern's x/g region from level k down: the union
+    of its entries' blocks, each from its residual. state is the flat
+    tuple (e0, owed0, e1, owed1, ...) of the entries still live, in entry
+    order, with their _entry_walk residuals; steps[e] and memos[e] are
+    entry e's steps and walk memo. Each entry advances by its own step
+    with _entry_walk's prune, and a branch where none lives is 0. Once one
+    entry is live, its _entry_walk takes over, so a state is never walked
+    twice for one entry. No state of two entries reaches the bottom: the
+    prune keeps only owed = 0 past the last level, and the running offsets
+    give entries of one pattern disjoint words, even where cubes overlap.
+    The memo key is (k, state); one frame per level.
+    """
+    if len(state) == 2:
+        e = state[0]
+        return _entry_walk(k, state[1], steps[e], mk, memos[e])
+    key = (k, state)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    lows: list[int] = []
+    highs: list[int] = []
+    for j in range(0, len(state), 2):
+        e, owed = state[j], state[j + 1]
+        level, lo, hi, shift, mask = steps[e][k]
+        if lo is not None:
+            lo += owed
+            if not (lo & shift or -(lo >> shift) & mask):
+                lows += (e, lo >> shift)
+        if hi is not None:
+            hi += owed
+            if not (hi & shift or -(hi >> shift) & mask):
+                highs += (e, hi >> shift)
+    lo = _pattern_walk(k + 1, tuple(lows), steps, mk, memos, memo) if lows else 0
+    hi = _pattern_walk(k + 1, tuple(highs), steps, mk, memos, memo) if highs else 0
+    memo[key] = got = mk(level, lo, hi)
+    return got
+
+
 def embed_exact(pla: Pla) -> RcBdd:
     """Garbage-optimal partial embedding of a disjoint cube list.
 
-    Every entry (c, o) becomes one relation cube: inputs constrained by c
-    on the kappa=0 plane, y set to o's minterm, and the garbage word equal
-    to o's running offset CNT[o] plus the rank of x among c's points --
-    don't-care inputs of c enumerate the block of #on(c) consecutive
-    values, and the garbage bits above them spell the block's base. Each
-    relation cube is built directly by _entry_builder, from one memoised
-    walk (_entry_walk) down the x/g levels that carries the residual
-    offset + rank - gamma and keeps the paths on which it ends at 0.
+    Every entry (c, o) stands for one relation cube: inputs constrained by
+    c on the kappa=0 plane, y set to o's minterm, and the garbage word
+    equal to o's running offset CNT[o] plus the rank of x among c's points
+    -- don't-care inputs of c enumerate the block of #on(c) consecutive
+    values, and the garbage bits above them spell the block's base.
     Entries sharing a pattern therefore land on disjoint garbage values,
     which is exactly what makes g injective.
+
+    chi is built without |. The entries are grouped by pattern, in the
+    order the patterns first appear; each pattern's x/g region is one
+    memoised walk (_pattern_walk) over the residuals of its live entries,
+    which hands off to _entry_walk once a single entry is live, and
+    _pattern_trie puts kappa = 0 and the y levels on top. Every node is
+    made once through the manager's node constructor, so the manager ends
+    with chi's nodes and no others.
     """
     if not pla.dsop_certified:
         raise ValueError("embed_exact needs a dsop-certified Pla")
@@ -237,20 +306,29 @@ def embed_exact(pla: Pla) -> RcBdd:
         raise AssertionError("ell >= n - m must hold for exact mu")
     r = n + p
     manager, kappa, xs, ys, gammas = _embedding_manager(p, m, n, ell)
-    build = _entry_builder(manager, kappa, xs, ys, gammas)
 
     cnt: dict[frozenset[int], int] = {}
     trace: list[tuple[frozenset[int], int]] = []
-    chi = manager.false
+    groups: dict[frozenset[int], list[tuple[Cube, int]]] = {}
     for cube, outs in pla.entries:
         offset = cnt.get(outs, 0)
         cnt[outs] = offset + cube.on_size()
         # mu <= 2^ell, so this bound also keeps every garbage word inside
-        # ell bits; the builder would silently drop the points past them
+        # ell bits; the walk would silently drop the points past them
         if cnt[outs] > mu_map.get(outs, 0):
             raise AssertionError("garbage block overran mu")
         trace.append((outs, cnt[outs]))
-        chi = chi | build(cube, outs, offset)
+        groups.setdefault(outs, []).append((cube, offset))
+    mk = manager._mk
+    regions = []
+    for outs, members in groups.items():
+        steps = [_entry_steps(xs, gammas, cube, offset) for cube, offset in members]
+        state = tuple(x for e in range(len(steps)) for x in (e, 0))
+        node = _pattern_walk(0, state, steps, mk, [{} for _ in steps], {})
+        regions.append((outs, node))
+        # one pattern's steps at a time: a 20,000-input entry's hold 3.7 MB
+        del steps
+    chi = Func(manager, _pattern_trie(0, regions, _top_levels(kappa, ys), mk))
     return RcBdd(
         manager=manager,
         chi=chi,

@@ -14,6 +14,7 @@ from revembed import (
     cube_sharp,
     or_all,
 )
+from revembed.embedding import _entry_builder
 from revembed.pla import function_source
 
 
@@ -183,6 +184,22 @@ def hand_built_chi(rc, pla):
     for term in minterms:
         acc = acc | term
     return acc
+
+
+def or_built_exact(rc, pla):
+    """embed_exact's relation by OR-ing one relation cube per entry, each
+    from _entry_builder, into chi in entry order on rc's manager, with the
+    running offsets kept alongside: (chi, cnt_trace, pattern_counts)."""
+    build = _entry_builder(rc.manager, rc.kappa, rc.xs, rc.ys, rc.gammas)
+    cnt: dict = {}
+    trace = []
+    chi = rc.manager.false
+    for cube, outs in pla.entries:
+        offset = cnt.get(outs, 0)
+        cnt[outs] = offset + cube.on_size()
+        trace.append((outs, cnt[outs]))
+        chi = chi | build(cube, outs, offset)
+    return chi, trace, cnt
 
 
 def reference_post_compact(pla: Pla) -> Pla:

@@ -151,6 +151,34 @@ class TestSemantics:
         with pytest.raises(ValueError):
             mgr.eval(f, {"a": 1})
 
+    @pytest.mark.parametrize(
+        "assignment",
+        [{"a": 2, "b": 0}, [-1, 0, 0, 0], {"a": 1, "b": 0.5}, [1, 0, 0, "1"]],
+    )
+    def test_eval_rejects_a_value_other_than_0_or_1(self, mgr, assignment):
+        # the last one is off f's path: every value is checked, not just
+        # the ones read
+        f = mgr.var("a") & ~mgr.var("b")
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            mgr.eval(f, assignment)
+
+    @pytest.mark.parametrize("value", [1.5, 0.7, -1, "1"])
+    def test_restrict_and_cube_check_the_value_before_int(self, mgr, value):
+        f = mgr.var("a") & mgr.var("b")
+        before = mgr.node_count()
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            mgr.restrict(f, {"a": value})
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            mgr.cube({"b": 1, "a": value})
+        assert mgr.node_count() == before
+
+    def test_bools_are_0_and_1(self, mgr):
+        f = mgr.var("a") & ~mgr.var("b")
+        assert mgr.eval(f, {"a": True, "b": False}) == 1
+        assert mgr.eval(f, [True, True, False, False]) == 0
+        assert mgr.restrict(f, {"a": True, "c": False}) == ~mgr.var("b")
+        assert mgr.cube({"a": True, "b": False}) == f
+
     def test_operator_truth_tables(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")
         cases = {

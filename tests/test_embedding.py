@@ -11,6 +11,7 @@ from revembed import (
     Cube,
     Func,
     Manager,
+    Pla,
     ResourceLimitError,
     brute_verify,
     complete_offset,
@@ -40,6 +41,7 @@ from helpers import (
     cube_points,
     hand_built_chi,
     inc,
+    or_built_exact,
     pla_truth,
     random_pla,
     two_cube_pla,
@@ -128,6 +130,50 @@ class TestEmbedExact:
         rep = verify(rc, pla)
         assert rep.injective and rep.functional and rep.projects
 
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 4), st.booleans()
+    )
+    def test_matches_the_or_of_entry_cubes(self, seed, n, m, offset):
+        pla = random_pla(random.Random(seed), n, m, 8)
+        prepared = dsop(complete_offset(pla) if offset else pla)
+        rc = embed_exact(prepared)
+        assert len(rc.manager._nodes) == rc.node_count()
+        chi, trace, counts = or_built_exact(rc, prepared)
+        assert rc.chi == chi
+        assert rc.cnt_trace == trace
+        assert rc.pattern_counts == counts
+        assert rc.chi == hand_built_chi(rc, prepared)
+
+    def test_overlapping_entries_of_one_pattern_are_united(self):
+        # a certificate set by hand: both cubes hold x = 11, which gets one
+        # garbage word from each entry
+        pla = Pla(
+            2,
+            1,
+            [(Cube.parse("1-"), frozenset({1})), (Cube.parse("-1"), frozenset({1}))],
+            dsop_certified=True,
+        )
+        rc = embed_exact(pla)
+        assert rc.chi == or_built_exact(rc, pla)[0]
+        assert rc.chi.sat_count(2 * rc.r) == 4
+
+    @pytest.mark.parametrize("source", ["r14c8", "wide2000"])
+    def test_makes_only_the_nodes_of_chi(self, source, monkeypatch):
+        if source == "r14c8":
+            text = (CORPUS / "r14c8.pla").read_text()
+            pla = dsop(complete_offset(parse_pla(text)))
+        else:
+            pla = dsop(parse_pla(two_cube_pla(2000)))
+
+        def no_apply(*args):
+            raise AssertionError("embed_exact combined BDDs")
+
+        monkeypatch.setattr(Manager, "apply", no_apply)
+        monkeypatch.setattr(Manager, "_ite", no_apply)
+        rc = embed_exact(pla)
+        assert len(rc.manager._nodes) == rc.manager.dag_size(rc.chi)
 
 def _chained_entry(manager, kappa, xs, ys, gammas, cube, outs, offset):
     """Reference entry from Boolean operations: the literal cube, and

@@ -20,7 +20,9 @@ With two directories it runs the one-directory digest of each tree in its
 own fresh interpreter, both at once, and prints only the commands whose
 lines differ: ``- `` before OLD_SRC's line and ``+ `` before NEW_SRC's, a
 command run in one tree only printing just its side. It exits 1 if any
-line differs or a digest fails, and 0 otherwise; stderr gets the count.
+line differs or a digest fails, and 0 otherwise; stderr gets the count,
+and next to it how many of the differing lines differ in the raw md5 of a
+``--format dot`` output alone, with the same exit code and ``dot:`` digest.
 
 A ``--format dot`` line that exits 0 carries a second md5, ``dot:<md5>``
 before the command, over the dot text with its node ids renumbered
@@ -221,15 +223,29 @@ def compare(old_src: str, new_src: str) -> int:
         return 1
     old, new = (_by_command(out) for out, _, _ in runs)
     commands = list(dict.fromkeys([*old, *new]))
-    differ = 0
+    differ = raw_only = 0
     for command in commands:
         if old.get(command) != new.get(command):
             differ += 1
+            raw_only += _same_shape(old.get(command), new.get(command))
             for sign, side in (("-", old), ("+", new)):
                 if command in side:
                     print("%s %s" % (sign, side[command]))
-    print("%d commands, %d differ" % (len(commands), differ), file=sys.stderr)
+    print(
+        "%d commands, %d differ, %d in the raw dot md5 alone"
+        % (len(commands), differ, raw_only),
+        file=sys.stderr,
+    )
     return 1 if differ else 0
+
+
+def _same_shape(old, new) -> bool:
+    """Whether two differing digest lines of one command have the same
+    exit code and the same ``dot:`` digest, so only the raw md5 differs."""
+    if old is None or new is None:
+        return False
+    a, b = old.split(" "), new.split(" ")
+    return a[2].startswith("dot:") and a[0] == b[0] and a[2] == b[2]
 
 
 def main(argv=None) -> int:
