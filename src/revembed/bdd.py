@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Optional
 from .cube import Cube
 
 TERMINAL_LEVEL = sys.maxsize
-# add_var raises the interpreter's recursion limit with the variable count,
+# add_vars raises the interpreter's recursion limit with the variable count,
 # up to this cap, which bounds the depth of the recursive walks
 MAX_RECURSION = 40000
 
@@ -137,23 +137,30 @@ class Manager:
     # ---------------------------------------------------------------- vars
 
     def add_var(self, name: Optional[str] = None) -> int:
-        level = len(self._names)
-        if name is None:
-            name = "v%d" % level
-        if name in self._by_name:
-            raise ValueError("duplicate variable name %r" % name)
-        self._names.append(name)
-        self._by_name[name] = level
+        return self.add_vars([name])[0]
+
+    def add_vars(self, names: Iterable[Optional[str]]) -> list[int]:
+        """Add a batch of variables below the existing ones, in order, and
+        return their levels; a None name becomes v<level>. All or nothing:
+        a name that repeats in the batch or is taken raises ValueError
+        before any variable is added."""
+        start = len(self._names)
+        batch = ["v%d" % (start + i) if n is None else n for i, n in enumerate(names)]
+        fresh: set[str] = set()
+        for name in batch:
+            if name in self._by_name or name in fresh:
+                raise ValueError("duplicate variable name %r" % name)
+            fresh.add(name)
+        self._names.extend(batch)
+        levels = list(range(start, len(self._names)))
+        self._by_name.update(zip(batch, levels))
         # the walks recurse about 2 frames per level: allow 3, plus 1000 for
         # the caller; the raised limit stays for the rest of the process
         # (cli.main restores the limit it found, library callers keep it)
         want = 1000 + 3 * len(self._names)
         if sys.getrecursionlimit() < want:
             sys.setrecursionlimit(min(want, MAX_RECURSION))
-        return level
-
-    def add_vars(self, names: Iterable[str]) -> list[int]:
-        return [self.add_var(n) for n in names]
+        return levels
 
     @property
     def vars(self) -> list[int]:
@@ -393,30 +400,32 @@ class Manager:
         """Number of satisfying assignments over support_size variables.
 
         Exact arbitrary-precision count over any variable window of the
-        given size that contains f's support, from one bottom-up pass over
-        f's reachable nodes per call (nothing is cached); errors when the
-        window is smaller than the support.
+        given size that contains f's support (Knuth, TAOCP 4A 7.1.4), from
+        one ascending pass over f's reachable nodes per call, which also
+        collects the support (nothing is cached); errors when the window is
+        smaller than the support.
         """
         u = self._check(f)
-        seen = self._reachable(u)
         nodes, top = self._nodes, len(self._names)
-        need = len({nodes[x][0] for x in seen if x >= 2})
-        if support_size < need:
+        # per node: its models over the levels level..top-1, terminals at
+        # top; the reachable ids ascend past the terminals, 0 and 1, and
+        # _mk links only to existing nodes, so children come first
+        count = {0: 0, 1: 1}
+        levels = set()
+        for x in sorted(self._reachable(u))[2:]:
+            lvl, lo, hi = nodes[x]
+            levels.add(lvl)
+            llo = nodes[lo][0] if lo >= 2 else top
+            lhi = nodes[hi][0] if hi >= 2 else top
+            count[x] = (count[lo] << (llo - lvl - 1)) + (count[hi] << (lhi - lvl - 1))
+        if support_size < len(levels):
             raise ValueError(
                 "support_size %d is smaller than the support (%d variables)"
-                % (support_size, need)
+                % (support_size, len(levels))
             )
-        # per node: (models over the levels level..top-1, level), terminals
-        # at top; _mk links only to existing nodes, so children come first
-        count = {0: (0, top), 1: (1, top)}
-        for x in sorted(seen):
-            if x >= 2:
-                lvl, lo, hi = nodes[x]
-                (clo, llo), (chi, lhi) = count[lo], count[hi]
-                count[x] = ((clo << (llo - lvl - 1)) + (chi << (lhi - lvl - 1)), lvl)
-        models, lvl = count[u]
-        # rescale from the top - lvl levels counted to the window
-        shift = support_size - (top - lvl)
+        # rescale from the top - level levels counted to the window
+        shift = support_size - (top - (nodes[u][0] if u >= 2 else top))
+        models = count[u]
         return models << shift if shift >= 0 else models >> -shift
 
     def eval(self, f: Func, assignment) -> int:

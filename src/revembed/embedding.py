@@ -105,14 +105,19 @@ def _add_interleaved(
     manager: Manager, first: str, p: int, second: str, q: int
 ) -> tuple[list[int], list[int]]:
     """Add first1, second1, first2, second2, ..., then the longer group's
-    leftovers; return the two groups' levels."""
-    a: list[int] = []
-    b: list[int] = []
+    leftovers, in one batch; return the two groups' levels."""
+    names = []
+    groups = []
     for i in range(max(p, q)):
         if i < p:
-            a.append(manager.add_var("%s%d" % (first, i + 1)))
+            names.append("%s%d" % (first, i + 1))
+            groups.append(0)
         if i < q:
-            b.append(manager.add_var("%s%d" % (second, i + 1)))
+            names.append("%s%d" % (second, i + 1))
+            groups.append(1)
+    levels = manager.add_vars(names)
+    a = [v for v, g in zip(levels, groups) if g == 0]
+    b = [v for v, g in zip(levels, groups) if g == 1]
     return a, b
 
 
@@ -140,10 +145,11 @@ def _entry_builder(
     _entry_walk, the kappa and y levels one path of _pattern_trie on top.
     """
     top = _top_levels(kappa, ys)
+    plan = _step_plan(xs, gammas)
     mk = manager._mk
 
     def build(cube: Cube, outs: frozenset[int], offset: int) -> Func:
-        node = _entry_walk(0, 0, _entry_steps(xs, gammas, cube, offset), mk, {})
+        node = _entry_walk(0, 0, _entry_steps(plan, cube, offset), mk, {})
         return Func(manager, _pattern_trie(0, [(outs, node)], top, mk))
 
     return build
@@ -173,34 +179,40 @@ def _pattern_trie(i: int, regions: list, top: list, mk) -> int:
     return mk(level, lo, hi)
 
 
-def _entry_steps(xs: list[int], gammas: list[int], cube: Cube, offset: int) -> list:
-    """One entry's x/g levels, top down, as _entry_walk's steps (level,
-    low, high, shift, mask). low and high are what the branches 0 and 1
-    add to owed at its scale, or None where a literal forbids one: a
-    don't-care input's high branch adds its rank weight, and g_a adds
-    offset bit a, less its own weight when high. shift is 1 where the
-    level settles one more bit. Past g_{a-1}, unread garbage counts in
-    multiples of 2^a, so the low a bits of -owed must be unread rank
-    bits, all below the don't-care count dc: mask holds bits [dc, a).
+def _step_plan(xs: list[int], gammas: list[int]) -> list[tuple[int, int]]:
+    """The x/g levels, top down, as (level, input position), with position
+    -1 for a garbage level: the order _entry_steps reads every entry in."""
+    return sorted([(v, i) for i, v in enumerate(xs)] + [(v, -1) for v in gammas])
+
+
+def _entry_steps(plan: list[tuple[int, int]], cube: Cube, offset: int) -> list:
+    """One entry's x/g levels, in _step_plan's order, as _entry_walk's
+    steps (level, low, high, shift, mask). low and high are what the
+    branches 0 and 1 add to owed at its scale, or None where a literal
+    forbids one: a don't-care input's high branch adds its rank weight,
+    and g_a adds offset bit a, less its own weight when high. shift is 1
+    where the level settles one more bit. Past g_{a-1}, unread garbage
+    counts in multiples of 2^a, so the low a bits of -owed must be unread
+    rank bits, all below the don't-care count dc: mask holds bits [dc, a).
     """
-    text = str(cube)
-    dc = text.count("-")
-    block = sorted(
-        [(v, text[i]) for i, v in enumerate(xs)] + [(v, "g") for v in gammas]
-    )
+    n = cube.n
+    dc = n - cube.care.bit_count()
+    # the masks' bits, position i at index i: one pass, not a shift per level
+    care = format(cube.care, "0%db" % n)[::-1]
+    value = format(cube.value, "0%db" % n)[::-1]
     read = a = 0  # rank bits and garbage bits read
     steps = []
-    for level, ch in block:
+    for level, pos in plan:
         s = min(read, a)
-        if ch == "g":
+        if pos < 0:
             bit = (offset >> a) & 1
             pair = (bit << (a - s), (bit - 1) << (a - s))
             a += 1
-        elif ch == "-":
+        elif care[pos] == "0":
             pair = (0, 1 << (read - s))
             read += 1
         else:
-            pair = (None, 0) if ch == "1" else (0, None)
+            pair = (None, 0) if value[pos] == "1" else (0, None)
         t = min(read, a)
         mask = (1 << (a - t)) - (1 << (dc - t)) if a > dc else 0
         steps.append((level, *pair, t - s, mask))
@@ -294,7 +306,8 @@ def embed_exact(pla: Pla) -> RcBdd:
     which hands off to _entry_walk once a single entry is live, and
     _pattern_trie puts kappa = 0 and the y levels on top. Every node is
     made once through the manager's node constructor, so the manager ends
-    with chi's nodes and no others.
+    with chi's nodes and no others. The x/g level order is sorted once per
+    embedding (_step_plan); each entry's steps read its cube's masks in it.
     """
     if not pla.dsop_certified:
         raise ValueError("embed_exact needs a dsop-certified Pla")
@@ -320,9 +333,10 @@ def embed_exact(pla: Pla) -> RcBdd:
         trace.append((outs, cnt[outs]))
         groups.setdefault(outs, []).append((cube, offset))
     mk = manager._mk
+    plan = _step_plan(xs, gammas)
     regions = []
     for outs, members in groups.items():
-        steps = [_entry_steps(xs, gammas, cube, offset) for cube, offset in members]
+        steps = [_entry_steps(plan, cube, offset) for cube, offset in members]
         state = tuple(x for e in range(len(steps)) for x in (e, 0))
         node = _pattern_walk(0, state, steps, mk, [{} for _ in steps], {})
         regions.append((outs, node))
@@ -471,25 +485,27 @@ def verify(rcbdd: RcBdd, source: Union[Pla, list[Func]]) -> VerifyReport:
     its domain/range projections; total asks whether the kappa=0 plane is
     fully specified; projects asks whether the kappa=0 plane, with garbage
     projected away, is exactly chi_f restricted to the specified domain.
+
+    chi is walked twice: once to quantify the garbage out, giving the
+    domain (ys quantified next) and the projection (kappa = 0 next), and
+    once to quantify the inputs out, giving the image.
     """
     manager, chi = rcbdd.manager, rcbdd.chi
     _, _, place = function_source(source, rcbdd.n)
     funcs = place(manager, rcbdd.xs)
-    in_vars = rcbdd.kappa + rcbdd.xs
-    out_vars = rcbdd.ys + rcbdd.gammas
     r = rcbdd.r
     relation = manager.sat_count(chi, 2 * r)
-    domain = manager.exists(chi, out_vars)
-    image = manager.exists(chi, in_vars)
+    no_garbage = manager.exists(chi, rcbdd.gammas)
+    domain = manager.exists(no_garbage, rcbdd.ys)
+    image = manager.exists(chi, rcbdd.kappa + rcbdd.xs)
     functional = relation == manager.sat_count(domain, r)
     injective = relation == manager.sat_count(image, r)
     plane = {k: 0 for k in rcbdd.kappa}
-    chi0 = manager.restrict(chi, plane)
-    # kappa and the outputs are disjoint, so restricting commutes with
-    # quantifying: this is exists(chi0, out_vars) without a walk over chi0
+    # kappa is disjoint from the quantified outputs, so restricting commutes
+    # with quantifying: these are the kappa = 0 planes of chi's projections
     domain0 = manager.restrict(domain, plane)
     total = domain0 == manager.true
-    projected = manager.exists(chi0, rcbdd.gammas)
+    projected = manager.restrict(no_garbage, plane)
     chi_f = characteristic(funcs, manager, rcbdd.ys)
     projects = projected == (chi_f & domain0)
     return VerifyReport(

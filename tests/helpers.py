@@ -202,6 +202,34 @@ def or_built_exact(rc, pla):
     return chi, trace, cnt
 
 
+def reference_entry_steps(xs, gammas, cube: Cube, offset: int) -> list:
+    """An entry's _entry_walk steps read off the cube's text, with the
+    x/g levels sorted per entry; _entry_steps(_step_plan(xs, gammas),
+    cube, offset) must give exactly these."""
+    text = str(cube)
+    dc = text.count("-")
+    block = sorted(
+        [(v, text[i]) for i, v in enumerate(xs)] + [(v, "g") for v in gammas]
+    )
+    read = a = 0
+    steps = []
+    for level, ch in block:
+        s = min(read, a)
+        if ch == "g":
+            bit = (offset >> a) & 1
+            pair = (bit << (a - s), (bit - 1) << (a - s))
+            a += 1
+        elif ch == "-":
+            pair = (0, 1 << (read - s))
+            read += 1
+        else:
+            pair = (None, 0) if ch == "1" else (0, None)
+        t = min(read, a)
+        mask = (1 << (a - t)) - (1 << (dc - t)) if a > dc else 0
+        steps.append((level, *pair, t - s, mask))
+    return steps
+
+
 def reference_post_compact(pla: Pla) -> Pla:
     """Per-pattern compaction of a disjoint Pla by grouping its entries.
 

@@ -15,6 +15,8 @@ from revembed import (
     redundancy,
 )
 
+from revembed.bdd import MAX_RECURSION
+
 from helpers import cube_points, mk_rebuild
 
 
@@ -359,6 +361,32 @@ class TestLevels:
         assert manager.vars == [0, 1, 2, 3, 4]
         assert manager.name_of(3) == "p"
 
+    def test_add_vars_adds_all_or_nothing(self):
+        manager = Manager()
+        with pytest.raises(ValueError, match="duplicate variable name 'a'"):
+            manager.add_vars(["a", "b", "a"])
+        assert manager.var_count() == 0
+        manager.add_var("a")
+        with pytest.raises(ValueError, match="duplicate variable name 'a'"):
+            manager.add_vars(["b", "a"])
+        # a default name clashes like any other: level 2 would be v2
+        with pytest.raises(ValueError, match="duplicate variable name 'v2'"):
+            manager.add_vars(["v2", None])
+        assert manager.var_count() == 1
+        assert manager.add_vars(["b", None]) == [1, 2]
+        assert [manager.name_of(v) for v in manager.vars] == ["a", "b", "v2"]
+
+    def test_add_vars_raises_the_recursion_limit_for_the_batch(self):
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(1000)
+            Manager().add_vars("x%d" % i for i in range(500))
+            assert sys.getrecursionlimit() == 2500
+            Manager().add_vars("x%d" % i for i in range(20000))
+            assert sys.getrecursionlimit() == MAX_RECURSION
+        finally:
+            sys.setrecursionlimit(limit)
+
     def test_level_and_name_give_one_node(self, mgr):
         for level, name in enumerate("abcd"):
             assert mgr.var(level).node == mgr.var(name).node
@@ -531,6 +559,35 @@ def test_random_formulas_match_reference(node):
     # double negation and self-xor sanity on the same structure
     assert ~~f == f
     assert (f ^ f).is_false
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs(NVARS), st.integers(0, 3), st.integers(0, 3))
+def test_sat_count_matches_enumeration(node, above, below):
+    # the formula's variables sit between unused ones, so the count is
+    # rescaled both ways: a window narrower than the levels under the root
+    # shifts right, a wider one left
+    manager = Manager()
+    manager.add_vars("u%d" % i for i in range(above))
+    names = manager.add_vars(["x%d" % (i + 1) for i in range(NVARS)])
+    manager.add_vars("w%d" % i for i in range(below))
+    f = build(manager, names, node)
+    count = sum(py_eval(node, bits) for bits in all_points(NVARS))
+    size = f.support_size()
+    for window in range(size, NVARS + 4):
+        scale = window - NVARS
+        want = count << scale if scale >= 0 else count >> -scale
+        assert manager.sat_count(f, window) == want
+    for window in range(size):
+        with pytest.raises(ValueError) as info:
+            manager.sat_count(f, window)
+        assert str(info.value) == (
+            "support_size %d is smaller than the support (%d variables)"
+            % (window, size)
+        )
+    for window in range(NVARS + 4):
+        assert manager.sat_count(manager.true, window) == 1 << window
+        assert manager.sat_count(manager.false, window) == 0
 
 
 @settings(max_examples=150, deadline=None)

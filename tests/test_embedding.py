@@ -34,6 +34,7 @@ from revembed.embedding import (
     _entry_builder,
     _entry_steps,
     _entry_walk,
+    _step_plan,
 )
 
 from helpers import (
@@ -44,6 +45,7 @@ from helpers import (
     or_built_exact,
     pla_truth,
     random_pla,
+    reference_entry_steps,
     two_cube_pla,
 )
 
@@ -236,6 +238,19 @@ class TestEntryBuilder:
             want = want | manager.cube(lits)
         assert entry == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(_entry_draws(), st.integers(0, 3))
+    def test_steps_match_the_sorted_text_construction(self, draw, extra):
+        # offsets past the block's bound too: the steps read any offset
+        text, p, m, _, ell, offset = draw
+        cube = Cube.parse(text)
+        _, _, xs, _, gammas = _embedding_manager(p, m, cube.n, ell)
+        plan = _step_plan(xs, gammas)
+        offset += extra << ell
+        assert _entry_steps(plan, cube, offset) == reference_entry_steps(
+            xs, gammas, cube, offset
+        )
+
     @pytest.mark.parametrize("source", ["r14c8", "wide2000"])
     def test_walk_states_stay_near_block_size(self, source):
         # each state is (level, residual); the prune keeps dead ones rare
@@ -250,7 +265,7 @@ class TestEntryBuilder:
             offset = offsets.get(outs, 0)
             offsets[outs] = offset + cube.on_size()
             memo: dict = {}
-            steps = _entry_steps(rc.xs, rc.gammas, cube, offset)
+            steps = _entry_steps(_step_plan(rc.xs, rc.gammas), cube, offset)
             block = _entry_walk(0, 0, steps, rc.manager._mk, memo)
             assert len(memo) <= 2 * rc.manager.dag_size(Func(rc.manager, block))
 
@@ -303,6 +318,22 @@ class TestVerify:
         # every entry has kappa = 0, so the restriction drops kappa alone
         assert chi0 == manager.exists(rc.chi, rc.kappa)
         return rc, chi0, walked, created
+
+    @pytest.mark.parametrize("name, bennett", [("r14c8", False), ("r12c20", True)])
+    def test_walks_chi_twice(self, monkeypatch, name, bennett):
+        # one walk quantifies the garbage out, one the inputs: the domain
+        # and the kappa = 0 projection come from the first walk's result
+        pla = parse_pla((CORPUS / (name + ".pla")).read_text())
+        rc = embed_bennett(pla) if bennett else embed_exact(dsop(complete_offset(pla)))
+        entered = []
+        real_rebuild = revembed.bdd._rebuild
+        monkeypatch.setattr(
+            revembed.bdd,
+            "_rebuild",
+            lambda x, *rest: entered.append(x) or real_rebuild(x, *rest),
+        )
+        assert verify(rc, pla).ok
+        assert entered.count(rc.chi.node) == 2
 
     def test_restricting_kappa_creates_no_node(self, monkeypatch):
         # z4 has one constant line, kappa = level 0, above every other
