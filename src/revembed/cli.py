@@ -334,7 +334,8 @@ def main(argv=None) -> int:
         finally:
             armed = False
     except (ResourceLimitError, MemoryError) as exc:
-        print("resource limit: %s" % exc, file=sys.stderr)
+        # a bare MemoryError carries no text
+        print("resource limit: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return EXIT_RESOURCE
     except RecursionError:
         # the walks over a relation take about two levels per input

@@ -7,11 +7,14 @@ A cube is held only as two n-bit masks: bit i of ``care`` is set when
 position i is a literal, and bit i of ``value`` then holds its polarity
 (``value`` is always a subset of ``care``). ``Cube(n, care, value)`` is the
 one constructor; ``Cube.parse`` reads the text form, whose first character
-is position 0, and ``str`` writes it back. Intersection and difference are
-a few integer operations on the masks.
+is position 0, and ``str`` writes it back. Cube is a frozen, slotted
+dataclass, so equality and the hash are those of the tuple (n, care,
+value). Intersection and difference are a few integer operations on the
+masks.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 
@@ -23,18 +26,18 @@ def bit_positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Cube:
-    """Immutable product term over n positions, held as (n, care, value)."""
+    """Immutable product term over n positions: literals at the set bits of
+    care, their polarities from value."""
 
-    __slots__ = ("n", "care", "value")
+    n: int
+    care: int
+    value: int
 
-    def __init__(self, n: int, care: int, value: int):
-        """Cube with literals at the set bits of care, polarities from value."""
-        if n < 0 or care >> n or value & ~care:
-            raise ValueError("masks do not describe a cube of %d positions" % n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "care", care)
-        object.__setattr__(self, "value", value)
+    def __post_init__(self):
+        if self.n < 0 or self.care >> self.n or self.value & ~self.care:
+            raise ValueError("masks do not describe a cube of %d positions" % self.n)
 
     @classmethod
     def parse(cls, text: str) -> "Cube":
@@ -62,17 +65,6 @@ class Cube:
     def __len__(self) -> int:
         return self.n
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cube)
-            and self.n == other.n
-            and self.care == other.care
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.care, self.value))
-
     def __str__(self) -> str:
         if not self.n:
             return ""
@@ -82,9 +74,6 @@ class Cube:
 
     def __repr__(self) -> str:
         return "Cube.parse(%r)" % (str(self),)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cube is immutable")
 
 
 def cube_and(a: Cube, b: Cube) -> Optional[Cube]:

@@ -30,7 +30,7 @@ which is all linecount.exact_mu_bdd() needs.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from dataclasses import replace
 from typing import Callable
 
 from .bdd import Manager
@@ -89,14 +89,7 @@ def dsop(pla: Pla) -> Pla:
             acc.append((piece, routs))
         for piece in reversed(cube_sharp(cube, rcube)):
             queue.appendleft((piece, outs))
-    return Pla(
-        pla.n,
-        pla.m,
-        acc,
-        input_names=pla.input_names,
-        output_names=pla.output_names,
-        dsop_certified=True,
-    )
+    return replace(pla, entries=acc, dsop_certified=True)
 
 
 def post_compact(pla: Pla) -> Pla:
@@ -127,14 +120,7 @@ def compact(pla: Pla) -> Pla:
     # every level is an input, so the paths need no support check
     for outs in sorted(regions, key=lambda o: tuple(sorted(o))):
         entries += [(cube, outs) for cube in manager._paths(regions[outs], pla.n)]
-    return Pla(
-        pla.n,
-        pla.m,
-        entries,
-        input_names=pla.input_names,
-        output_names=pla.output_names,
-        dsop_certified=True,
-    )
+    return replace(pla, entries=entries, dsop_certified=True)
 
 
 def pattern_split(
@@ -218,13 +204,10 @@ def pattern_counts(
     cap = DEFAULT_PATTERN_CAP
     top = min(map(levels.__getitem__, state), default=n)
     weight = {state: 1 << n}
-    # the states waiting to be split, by top level; the heap holds the
-    # levels with a list, so a wide walk never scans its empty levels
+    # the states waiting to be split, by top level
     pending = {top: [state]}
-    heap = [top]
-    while heap[0] < n:
-        top = heappop(heap)
-        for s in pending.pop(top):
+    for top in range(n):
+        for s in pending.pop(top, ()):
             half = weight.pop(s) >> 1
             lo = tuple([nodes[u][1] if levels[u] == top else u for u in s])
             hi = tuple([nodes[u][2] if levels[u] == top else u for u in s])
@@ -235,16 +218,12 @@ def pattern_counts(
                     continue
                 weight[child] = half
                 lvl = min(map(levels.__getitem__, child))
-                states = pending.get(lvl)
-                if states is None:
-                    pending[lvl] = [child]
-                    heappush(heap, lvl)
-                elif lvl == n and len(states) >= cap:
+                states = pending.setdefault(lvl, [])
+                if lvl == n and len(states) >= cap:
                     raise ResourceLimitError(
                         "more than %d output patterns enumerated" % cap
                     )
-                else:
-                    states.append(child)
+                states.append(child)
     # only the terminal states are left in weight
     counts = {_mask(s): w for s, w in weight.items()}
     return {_outputs(mask, len(state)): counts[mask] for mask in sorted(counts)}

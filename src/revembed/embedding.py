@@ -28,7 +28,7 @@ n copy terms are never conjoined one by one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Union
 
 from .bdd import Func, Manager, and_all, or_all
@@ -93,12 +93,7 @@ class VerifyReport:
         return self.injective and self.functional and self.total and self.projects
 
     def to_dict(self) -> dict:
-        return {
-            "injective": self.injective,
-            "functional": self.functional,
-            "total": self.total,
-            "projects": self.projects,
-        }
+        return asdict(self)
 
 
 def _add_interleaved(
@@ -126,39 +121,6 @@ def _embedding_manager(p: int, m: int, n: int, ell: int):
     kappa, ys = _add_interleaved(manager, "k", p, "y", m)
     xs, gammas = _add_interleaved(manager, "x", n, "g", ell)
     return manager, kappa, xs, ys, gammas
-
-
-def _entry_builder(
-    manager: Manager,
-    kappa: list[int],
-    xs: list[int],
-    ys: list[int],
-    gammas: list[int],
-):
-    """Return build(cube, outs, offset), the relation cube of one
-    embed_exact entry: kappa = 0, y = outs' minterm, x inside cube, and
-    the garbage word gamma = offset + rank(x), offset < 2^ell, where rank
-    reads the cube's don't-care inputs (ascending positions) as a binary
-    number, the first least significant. Points whose word would not fit
-    in ell bits are left out; embed_exact keeps offset + #on(cube) <= 2^ell.
-    This is embed_exact's one-entry, one-pattern case: the x/g block is one
-    _entry_walk, the kappa and y levels one path of _pattern_trie on top.
-    """
-    top = _top_levels(kappa, ys)
-    plan = _step_plan(xs, gammas)
-    mk = manager._mk
-
-    def build(cube: Cube, outs: frozenset[int], offset: int) -> Func:
-        node = _entry_walk(0, 0, _entry_steps(plan, cube, offset), mk, {})
-        return Func(manager, _pattern_trie(0, [(outs, node)], top, mk))
-
-    return build
-
-
-def _top_levels(kappa: list[int], ys: list[int]) -> list[tuple[int, int]]:
-    """The kappa and y levels, top down, as (level, output index); kappa
-    gets index 0, which no pattern holds."""
-    return sorted([(v, 0) for v in kappa] + [(v, i + 1) for i, v in enumerate(ys)])
 
 
 def _pattern_trie(i: int, regions: list, top: list, mk) -> int:
@@ -342,7 +304,10 @@ def embed_exact(pla: Pla) -> RcBdd:
         regions.append((outs, node))
         # one pattern's steps at a time: a 20,000-input entry's hold 3.7 MB
         del steps
-    chi = Func(manager, _pattern_trie(0, regions, _top_levels(kappa, ys), mk))
+    # the kappa and y levels, top down, as (level, output index); kappa gets
+    # index 0, which no pattern holds
+    top = sorted([(v, 0) for v in kappa] + [(v, i + 1) for i, v in enumerate(ys)])
+    chi = Func(manager, _pattern_trie(0, regions, top, mk))
     return RcBdd(
         manager=manager,
         chi=chi,
@@ -468,14 +433,7 @@ def complete_offset(pla: Pla) -> Pla:
         entries.append((cube, frozenset()))
     # the appended cubes live outside the union of all existing rows, so
     # pairwise disjointness is preserved and the certificate carries over
-    return Pla(
-        pla.n,
-        pla.m,
-        entries,
-        input_names=pla.input_names,
-        output_names=pla.output_names,
-        dsop_certified=pla.dsop_certified,
-    )
+    return replace(pla, entries=entries)
 
 
 def verify(rcbdd: RcBdd, source: Union[Pla, list[Func]]) -> VerifyReport:

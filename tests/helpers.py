@@ -14,7 +14,7 @@ from revembed import (
     cube_sharp,
     or_all,
 )
-from revembed.embedding import _entry_builder
+from revembed.embedding import _entry_steps, _entry_walk, _pattern_trie, _step_plan
 from revembed.pla import function_source
 
 
@@ -186,11 +186,38 @@ def hand_built_chi(rc, pla):
     return acc
 
 
+def entry_builder(
+    manager: Manager,
+    kappa: list[int],
+    xs: list[int],
+    ys: list[int],
+    gammas: list[int],
+):
+    """Return build(cube, outs, offset), the relation cube of one
+    embed_exact entry: kappa = 0, y = outs' minterm, x inside cube, and
+    the garbage word gamma = offset + rank(x), offset < 2^ell, where rank
+    reads the cube's don't-care inputs (ascending positions) as a binary
+    number, the first least significant. Points whose word would not fit
+    in ell bits are left out; embed_exact keeps offset + #on(cube) <= 2^ell.
+    This is embed_exact's one-entry, one-pattern case: the x/g block is one
+    _entry_walk, the kappa and y levels one path of _pattern_trie on top.
+    """
+    top = sorted([(v, 0) for v in kappa] + [(v, i + 1) for i, v in enumerate(ys)])
+    plan = _step_plan(xs, gammas)
+    mk = manager._mk
+
+    def build(cube: Cube, outs: frozenset[int], offset: int) -> Func:
+        node = _entry_walk(0, 0, _entry_steps(plan, cube, offset), mk, {})
+        return Func(manager, _pattern_trie(0, [(outs, node)], top, mk))
+
+    return build
+
+
 def or_built_exact(rc, pla):
     """embed_exact's relation by OR-ing one relation cube per entry, each
-    from _entry_builder, into chi in entry order on rc's manager, with the
+    from entry_builder, into chi in entry order on rc's manager, with the
     running offsets kept alongside: (chi, cnt_trace, pattern_counts)."""
-    build = _entry_builder(rc.manager, rc.kappa, rc.xs, rc.ys, rc.gammas)
+    build = entry_builder(rc.manager, rc.kappa, rc.xs, rc.ys, rc.gammas)
     cnt: dict = {}
     trace = []
     chi = rc.manager.false

@@ -355,6 +355,20 @@ class TestPlumbing:
         assert "resource limit" in err
         assert elapsed < 3
 
+    @pytest.mark.parametrize(
+        "exc, reason",
+        [(MemoryError(), "out of memory"), (MemoryError("no room"), "no room")],
+        ids=["bare", "with-text"],
+    )
+    def test_memory_error_exits_2_with_reason(self, capsys, monkeypatch, exc, reason):
+        def exhausted(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_lines", exhausted)
+        code, out, err = run(capsys, "lines", RUNNING)
+        assert (code, out) == (2, "")
+        assert err == "resource limit: %s\n" % reason
+
     @pytest.mark.parametrize("timeout", ["0.000001", "0.000002", "0.000005", "0.00001"])
     def test_tiny_timeouts_exit_2(self, capsys, timeout):
         # the timer fires at once; it must land inside the guarded region

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -176,7 +177,7 @@ class TestMasks:
 
 def _outputs(pla_path):
     """Pipeline and CLI outputs that involve cubes, as text."""
-    pla = parse_pla(open(pla_path).read())
+    pla = parse_pla(Path(pla_path).read_text())
     texts = [
         write_pla(dsop(pla)),
         write_pla(post_compact(dsop(pla))),

@@ -11,6 +11,7 @@ from revembed import (
     ResourceLimitError,
     brute_dsop_check,
     compact,
+    complete_offset,
     cube_and,
     data_path,
     dsop,
@@ -99,11 +100,23 @@ class TestProperties:
         again = dsop(underapprox_dsop3)
         assert again.entries == underapprox_dsop3.entries
 
-    def test_preserves_names(self):
+    @pytest.mark.parametrize(
+        "rewrite, certified",
+        [
+            (dsop, True),
+            (compact, True),
+            (lambda pla: post_compact(dsop(pla)), True),
+            (complete_offset, False),
+            (lambda pla: complete_offset(dsop(pla)), True),
+        ],
+        ids=["dsop", "compact", "post_compact", "complete_offset", "dsop-offset"],
+    )
+    def test_preserves_names(self, rewrite, certified):
         pla = parse_pla(".i 2\n.o 1\n.ilb a b\n.ob f\n1- 1\n-1 1\n.e\n")
-        d = dsop(pla)
+        d = rewrite(pla)
         assert d.input_names == ["a", "b"]
         assert d.output_names == ["f"]
+        assert d.dsop_certified is certified
 
     def test_post_compact_requires_certificate(self, running):
         with pytest.raises(ValueError):

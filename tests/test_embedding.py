@@ -31,7 +31,6 @@ from revembed import (
 from revembed.embedding import (
     MAX_STUDY_LINES,
     _embedding_manager,
-    _entry_builder,
     _entry_steps,
     _entry_walk,
     _step_plan,
@@ -40,6 +39,7 @@ from revembed.embedding import (
 from helpers import (
     and_all_bennett_chi,
     cube_points,
+    entry_builder,
     hand_built_chi,
     inc,
     or_built_exact,
@@ -222,7 +222,7 @@ class TestEntryBuilder:
         text, p, m, outs, ell, offset = draw
         cube = Cube.parse(text)
         manager, kappa, xs, ys, gammas = _embedding_manager(p, m, cube.n, ell)
-        direct = _entry_builder(manager, kappa, xs, ys, gammas)(cube, outs, offset)
+        direct = entry_builder(manager, kappa, xs, ys, gammas)(cube, outs, offset)
         chained = _chained_entry(manager, kappa, xs, ys, gammas, cube, outs, offset)
         assert direct == chained
 
@@ -230,7 +230,7 @@ class TestEntryBuilder:
         # ranks 0..3 from offset 6 in 3 bits: 6 and 7 fit, 8 and 9 do not
         cube = Cube.parse("-1-")
         manager, kappa, xs, ys, gammas = _embedding_manager(1, 1, 3, 3)
-        entry = _entry_builder(manager, kappa, xs, ys, gammas)(cube, frozenset({1}), 6)
+        entry = entry_builder(manager, kappa, xs, ys, gammas)(cube, frozenset({1}), 6)
         want = manager.false
         for rank, word in ((0, 6), (1, 7)):
             lits = {xs[0]: rank & 1, xs[1]: 1, xs[2]: rank >> 1, kappa[0]: 0, ys[0]: 1}
