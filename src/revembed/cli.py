@@ -10,10 +10,16 @@ The --timeout budget is a SIGALRM timer, so main() enforces it only when
 called on the main thread; called from any other thread it runs unbounded.
 It must be a finite number of seconds in (0, MAX_TIMEOUT]; any other value
 is a usage error.
+
+main() may be called repeatedly in one process: the argument parser is
+built on the first call and shared by every later one, each of which
+parses into a fresh namespace. A console-script run calls main() once, so
+it builds the parser once, as before.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import signal
 import sys
@@ -84,6 +90,7 @@ def _checked(convert, ok, expected: str):
 _count = _checked(int, lambda c: c >= 0, "a non-negative integer")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="revembed", description=__doc__)
     parser.add_argument(

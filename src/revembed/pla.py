@@ -140,9 +140,12 @@ def write_pla(pla: Pla) -> str:
     if pla.output_names:
         lines.append(".ob %s" % " ".join(pla.output_names))
     lines.append(".p %d" % len(pla.entries))
+    # one plane string per output pattern: compact writes runs of rows that share one
+    planes: dict[frozenset[int], str] = {}
     for cube, outs in pla.entries:
-        plane = "".join("1" if i + 1 in outs else "0" for i in range(pla.m))
-        lines.append("%s %s" % (cube, plane) if pla.m else str(cube))
+        if outs not in planes:
+            planes[outs] = "".join("1" if i + 1 in outs else "0" for i in range(pla.m))
+        lines.append("%s %s" % (cube, planes[outs]) if pla.m else str(cube))
     lines.append(".e")
     return "\n".join(lines) + "\n"
 

@@ -119,6 +119,23 @@ def random_pla(rng: random.Random, n: int, m: int, max_cubes: int) -> Pla:
     return Pla(n, m, entries)
 
 
+def reference_write_pla(pla: Pla) -> str:
+    """PLA text with every row's output plane joined on its own;
+    write_pla() must produce exactly this text."""
+    lines = ["# dsop"] if pla.dsop_certified else []
+    lines += [".i %d" % pla.n, ".o %d" % pla.m]
+    if pla.input_names:
+        lines.append(".ilb %s" % " ".join(pla.input_names))
+    if pla.output_names:
+        lines.append(".ob %s" % " ".join(pla.output_names))
+    lines.append(".p %d" % len(pla.entries))
+    for cube, outs in pla.entries:
+        plane = "".join("1" if i + 1 in outs else "0" for i in range(pla.m))
+        lines.append("%s %s" % (cube, plane) if pla.m else str(cube))
+    lines.append(".e")
+    return "\n".join(lines) + "\n"
+
+
 def reference_dsop(pla: Pla) -> Pla:
     """The disjoint rewrite by a plain scan for the first overlap.
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -66,6 +67,7 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 RUNNING = str(revembed.data_path("running_example.pla"))
 UNDER3 = str(revembed.data_path("underapprox_dsop.pla"))
 AND2 = str(revembed.data_path("and2.pla"))
+CORPUS = PYPROJECT.parent / "perfbench" / "corpus"
 
 
 class TestLines:
@@ -453,3 +455,79 @@ class TestManagerLifetime:
         assert code == 0
         assert made
         assert alive == 0
+
+
+class TestSharedParser:
+    def fresh(self, capsys, monkeypatch, *argv):
+        """run() on a parser built for this call alone."""
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            return run(capsys, *argv)
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_carry_no_state(self, capsys, monkeypatch):
+        # gen's --format shares embed's dest and defaults to json
+        calls = [
+            ["embed", "--exact", RUNNING, "--format", "pla"],
+            ["gen", "rgs", "3"],
+            ["embed", "--bennett", RUNNING],
+        ]
+        shared = [run(capsys, *argv) for argv in calls]
+        assert [self.fresh(capsys, monkeypatch, *argv) for argv in calls] == shared
+        assert [code for code, _, _ in shared] == [0, 0, 0]
+        assert "\n.i 7\n" in shared[0][1]
+        assert json.loads(shared[1][1])["family"] == "rgs"
+        assert json.loads(shared[2][1])["mode"] == "bennett"
+
+    def test_usage_error_leaves_the_next_call_alone(self, capsys, monkeypatch):
+        expected = self.fresh(capsys, monkeypatch, "lines", RUNNING)
+        code, out, err = run(capsys, "lines", "x.pla", "--method", "nope")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --method: ")
+        assert run(capsys, "lines", RUNNING) == expected
+        assert json.loads(expected[1])["method"] == "heuristic-cube"
+
+
+class TestThreads:
+    def test_main_on_two_threads_at_once(self, tmp_path):
+        # --timeout is not armed off the main thread, so the inputs are small
+        jobs = {
+            "A": ["dsop", str(CORPUS / "r14c30.pla"), "--compact", "-o"],
+            "B": [
+                "embed", "--exact", str(CORPUS / "rd84.pla"),
+                "--with-offset", "--format", "pla", "-o",
+            ],
+        }
+        # a file per run: redirect_stdout would be shared by both threads
+        for name, argv in jobs.items():
+            assert cli.main(argv + [str(tmp_path / (name + "-main"))]) == 0
+        start = threading.Barrier(len(jobs))
+        codes = {}
+
+        def job(name):
+            start.wait()
+            try:
+                codes[name] = cli.main(jobs[name] + [str(tmp_path / name)])
+            except Exception as exc:  # reported by the assertion below
+                codes[name] = exc
+
+        threads = [threading.Thread(target=job, args=(name,)) for name in jobs]
+        # each main() restores the recursion limit it found, so two at once
+        # can leave one raised; short switches interleave the two more
+        limit, interval = sys.getrecursionlimit(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+            sys.setrecursionlimit(limit)
+        assert not any(thread.is_alive() for thread in threads)
+        assert codes == {"A": 0, "B": 0}
+        for name in jobs:
+            main_run = (tmp_path / (name + "-main")).read_bytes()
+            assert (tmp_path / name).read_bytes() == main_run

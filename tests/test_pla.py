@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from revembed import (
     write_pla,
 )
 
-from helpers import pla_truth, random_pla
+from helpers import pla_truth, random_pla, reference_write_pla
 
 
 class TestParse:
@@ -109,6 +110,41 @@ class TestWrite:
         pla = random_pla(rng, rng.randint(1, 6), rng.randint(1, 4), 8)
         again = parse_pla(write_pla(pla))
         assert again.entries == pla.entries
+
+
+@st.composite
+def plas_repeating_patterns(draw):
+    """Plas whose output patterns recur apart from each other, the empty
+    and the all-outputs pattern among them."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    pool = [frozenset(), frozenset(range(1, m + 1))]
+    pool += draw(st.lists(st.frozensets(st.integers(1, m)), max_size=3))
+    order = draw(st.permutations(pool + pool))
+    order += draw(st.lists(st.sampled_from(pool), max_size=8))
+    cubes = st.text("01-", min_size=n, max_size=n).map(Cube.parse)
+    names = st.text("abxy_019", min_size=1, max_size=3)
+
+    def labels(k):
+        return st.none() | st.lists(names, min_size=k, max_size=k)
+
+    return Pla(
+        n,
+        m,
+        [(draw(cubes), outs) for outs in order],
+        draw(labels(n)),
+        draw(labels(m)),
+        dsop_certified=draw(st.booleans()),
+    )
+
+
+class TestPlaneMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(plas_repeating_patterns())
+    def test_matches_a_join_per_row(self, pla):
+        text = write_pla(pla)
+        assert text == reference_write_pla(pla)
+        assert parse_pla(text) == replace(pla, dsop_certified=False)
 
 
 class TestValidation:
