@@ -38,9 +38,23 @@ from typing import Iterable, Iterator, Optional
 from .cube import Cube
 
 TERMINAL_LEVEL = sys.maxsize
-# add_vars raises the interpreter's recursion limit with the variable count,
-# up to this cap, which bounds the depth of the recursive walks
+# add_vars and dsop's row diagram raise the interpreter's recursion limit
+# with their level count, up to this cap, which bounds the depth of the
+# recursive walks
 MAX_RECURSION = 40000
+
+
+def raise_recursion_limit(levels: int) -> None:
+    """Let the recursive walks go levels deep.
+
+    They recurse about 2 frames per level: allow 3, plus 1000 for the
+    caller, up to MAX_RECURSION. The raised limit stays for the rest of the
+    process: cli.main puts back the limit it found once no call of it is
+    running, and library callers keep it.
+    """
+    want = 1000 + 3 * levels
+    if sys.getrecursionlimit() < want:
+        sys.setrecursionlimit(min(want, MAX_RECURSION))
 
 
 class Func:
@@ -154,12 +168,7 @@ class Manager:
         self._names.extend(batch)
         levels = list(range(start, len(self._names)))
         self._by_name.update(zip(batch, levels))
-        # the walks recurse about 2 frames per level: allow 3, plus 1000 for
-        # the caller; the raised limit stays for the rest of the process
-        # (cli.main restores the limit it found, library callers keep it)
-        want = 1000 + 3 * len(self._names)
-        if sys.getrecursionlimit() < want:
-            sys.setrecursionlimit(min(want, MAX_RECURSION))
+        raise_recursion_limit(len(self._names))
         return levels
 
     @property

@@ -300,10 +300,42 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _RecursionLimit:
+    """Restores the recursion limit once no main() call is running.
+
+    The commands raise the interpreter-wide limit for wide inputs
+    (bdd.raise_recursion_limit). main() calls may overlap on several
+    threads, so the limit the first of them found is put back when the
+    last of them returns, and never under a call still running.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._active = 0
+        self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            if not self._active:
+                self._saved = sys.getrecursionlimit()
+            self._active += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._active -= 1
+            if not self._active:
+                sys.setrecursionlimit(self._saved)
+
+
+_RECURSION_LIMIT = _RecursionLimit()
+
+
 def main(argv=None) -> int:
-    # Manager.add_var raises the interpreter's recursion limit for wide
-    # inputs; the caller gets back the limit it had
-    recursion_limit = sys.getrecursionlimit()
+    with _RECURSION_LIMIT:
+        return _main(argv)
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -360,7 +392,6 @@ def main(argv=None) -> int:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, old_handler)
-        sys.setrecursionlimit(recursion_limit)
 
 
 if __name__ == "__main__":

@@ -16,16 +16,18 @@ over its literals (i, b), so the lowest surviving bit is the first overlap
 in list order, the same one a front-to-back scan would find.
 
 Wille, Keszocze and Drechsler's (DATE 2011) partition of B^n by output
-pattern is read from the product of a tuple of BDDs, walked together as in
-Bryant's (1986) simultaneous traversal, in two ways. pattern_split() walks
-it bottom-up, memoised, and builds each pattern's region as a BDD: the
-inputs whose covering rows construct exactly that pattern. compact() uses
-it on covered = OR of every row's cube and the m output BDDs to give a
-smaller disjoint cover without running dsop(), one cube per root-to-1 path
-of each region; post_compact() is the same rewrite for a Pla that dsop()
-has already certified. pattern_counts() walks the same product top-down
-with one integer weight per state and gives only each pattern's size,
-which is all linecount.exact_mu_bdd() needs.
+pattern is read off a Pla's row diagram: a multi-terminal decision diagram
+(the ADD/MTBDD of Bahar et al., ICCAD 1993) over the inputs whose leaves
+are output masks, built by one balanced OR of one chain per row
+(row_diagram). diagram_counts() gives each pattern's size from one
+weighted pass over its nodes, which is all linecount.exact_mu_bdd() needs
+for a Pla. compact() sets a covered bit above the outputs and builds each
+pattern's region as a BDD with one memoised bottom-up walk over the
+diagram, then writes a smaller disjoint cover without running dsop(), one
+cube per root-to-1 path of each region; post_compact() is the same
+rewrite for a Pla that dsop() has already certified. pattern_counts()
+counts the patterns of a tuple of BDDs by walking their product top-down,
+exact_mu_bdd()'s route for a list of Funcs.
 """
 from __future__ import annotations
 
@@ -33,10 +35,10 @@ from collections import deque
 from dataclasses import replace
 from typing import Callable
 
-from .bdd import Manager
+from .bdd import Manager, raise_recursion_limit
 from .cube import Cube, bit_positions, cube_and, cube_sharp
 from .errors import ResourceLimitError
-from .pla import Pla, cover_union, to_functions
+from .pla import Pla
 
 __all__ = ["compact", "dsop", "post_compact"]
 
@@ -110,77 +112,213 @@ def compact(pla: Pla) -> Pla:
     rows with no outputs form the empty pattern's region. Patterns are
     listed in ascending order of their sorted output tuples, and each
     region's cubes in enumerate_paths order. Raises ResourceLimitError when
-    a walk state reaches more than DEFAULT_PATTERN_CAP patterns.
+    a node of the row diagram reaches more than DEFAULT_PATTERN_CAP
+    patterns.
     """
-    covered = cover_union(pla.n, [cube for cube, _ in pla.entries])
-    manager = covered.manager
-    state = (covered.node, *(f.node for f in to_functions(pla, manager)))
-    regions = pattern_split(state, manager, pla.n)
+    # the covered bit sits above the outputs, so every covered input's leaf
+    # is nonzero, even under a row with no outputs
+    covered = 1 << pla.m
+    root, nodes = row_diagram(pla, covered)
+    manager = Manager()
+    manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
+    # the background leaf, -1, is the uncovered inputs: no region
+    memo: dict[int, dict[int, int]] = {-1: {}}
+    regions = _region_walk(root, nodes, manager._mk, memo, DEFAULT_PATTERN_CAP)
+    by_outs = {_outputs(mask ^ covered, pla.m): u for mask, u in regions.items()}
     entries: list[tuple[Cube, frozenset[int]]] = []
     # every level is an input, so the paths need no support check
-    for outs in sorted(regions, key=lambda o: tuple(sorted(o))):
-        entries += [(cube, outs) for cube in manager._paths(regions[outs], pla.n)]
+    for outs in sorted(by_outs, key=lambda o: tuple(sorted(o))):
+        entries += [(cube, outs) for cube in manager._paths(by_outs[outs], pla.n)]
     return replace(pla, entries=entries, dsop_certified=True)
 
 
-def pattern_split(
-    state: tuple[int, ...], manager: Manager, n: int
-) -> dict[frozenset[int], int]:
-    """{output set: region node} for the walk of state = (covered, f_1..f_m).
+# The row diagram is a multi-terminal decision diagram (the ADD/MTBDD of
+# Bahar et al., ICCAD 1993) over the inputs, levels 0..n-1, whose leaves are
+# output masks. An inner node is an index into a node list of (level, low,
+# high) triples, made unique by a table keyed on that triple; the leaf of
+# mask k is the negative id ~k, so the background leaf of mask 0 is -1 and
+# every other id below 0 is a leaf.
 
-    The state's nodes live on manager, over the n levels 0..n-1. An
-    input's pattern is the set of outputs i with f_i = 1, and only inputs
-    where covered = 1 count. A pattern's region is the node of its inputs,
-    built bottom-up: a leaf's pattern has the region 1, and a state's
-    region for a pattern joins its cofactors' regions with _mk, a pattern
-    missing from a cofactor giving 0 there. Patterns come in ascending
-    mask order (_outputs). Raises ResourceLimitError when a walk state
-    reaches more than DEFAULT_PATTERN_CAP patterns.
+
+def row_diagram(pla: Pla, cover: int = 0) -> tuple[int, list[tuple[int, int, int]]]:
+    """(root, nodes) of the diagram that maps each input to the OR of the
+    masks of the rows whose cubes cover it, or -1 for none.
+
+    A row's mask is cover | its outputs' bits, output 1 the most
+    significant of m (_outputs). Each row becomes a chain over its literals
+    that ends in its mask's leaf, and the chains are joined by a balanced
+    OR whose leaf case is the bitwise OR of the two masks (_or_rows).
     """
-    nodes = manager._nodes
-    levels = _levels(nodes, n)
+    raise_recursion_limit(pla.n)
+    nodes: list[tuple[int, int, int]] = []
+    unique: dict[tuple[int, int, int], int] = {}
+    work = []
+    for cube, outs in pla.entries:
+        u = ~(cover | sum(1 << (pla.m - i) for i in outs))
+        if u == -1:  # the background: the row adds nothing
+            continue
+        care, value = cube.care, cube.value
+        while care:
+            pos = care.bit_length() - 1
+            care ^= 1 << pos
+            node = (pos, -1, u) if (value >> pos) & 1 else (pos, u, -1)
+            u = unique.get(node)
+            if u is None:
+                u = len(nodes)
+                nodes.append(node)
+                unique[node] = u
+        work.append(u)
+    memo: dict[tuple[int, int], int] = {}
+    while len(work) > 1:
+        nxt = [
+            _join(work[i], work[i + 1], nodes, unique, memo)
+            for i in range(0, len(work) - 1, 2)
+        ]
+        if len(work) % 2:
+            nxt.append(work[-1])
+        work = nxt
+    return (work[0] if work else -1), nodes
+
+
+def _join(u: int, v: int, nodes: list, unique: dict, memo: dict) -> int:
+    """Node of u or v on the diagram's node, unique and memo tables."""
+    if u == v or v == -1:
+        return u
+    if u == -1:
+        return v
+    if u < 0 and v < 0:
+        return u & v  # the leaves ~a and ~b join to ~(a | b) = ~a & ~b
+    if u < v:
+        return _or_rows(u, v, nodes, unique, memo)
+    return _or_rows(v, u, nodes, unique, memo)
+
+
+def _or_rows(u: int, v: int, nodes: list, unique: dict, memo: dict) -> int:
+    """u or v for u < v with v an inner node, so u is an inner node or a
+    leaf other than the background.
+
+    As bdd._and_or: the memo is keyed on (u, v), the low child is made
+    first, a pair of children that _join decides without a call is decided
+    here, and the recursion is one frame per level.
+    """
+    key = (u, v)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    top, v0, v1 = nodes[v]
+    if u < 0:
+        u0 = u1 = u
+    else:
+        lu, u0, u1 = nodes[u]
+        if lu < top:
+            top = lu
+            v0 = v1 = v
+        elif top < lu:
+            u0 = u1 = u
+    if u0 == v0 or v0 == -1:
+        lo = u0
+    elif u0 == -1:
+        lo = v0
+    elif u0 < 0 and v0 < 0:
+        lo = u0 & v0
+    elif u0 < v0:
+        lo = _or_rows(u0, v0, nodes, unique, memo)
+    else:
+        lo = _or_rows(v0, u0, nodes, unique, memo)
+    if u1 == v1 or v1 == -1:
+        hi = u1
+    elif u1 == -1:
+        hi = v1
+    elif u1 < 0 and v1 < 0:
+        hi = u1 & v1
+    elif u1 < v1:
+        hi = _or_rows(u1, v1, nodes, unique, memo)
+    else:
+        hi = _or_rows(v1, u1, nodes, unique, memo)
+    if lo == hi:
+        out = lo
+    else:
+        node = (top, lo, hi)
+        out = unique.get(node)
+        if out is None:
+            out = len(nodes)
+            nodes.append(node)
+            unique[node] = out
+    memo[key] = out
+    return out
+
+
+def diagram_counts(
+    root: int, nodes: list[tuple[int, int, int]], n: int, m: int
+) -> dict[frozenset[int], int]:
+    """{output set: input count} over B^n from row_diagram's (root, nodes)
+    for rows over n inputs and m outputs with no cover bit.
+
+    One pass over the nodes in descending id order, parents before
+    children: the root weighs 2^n, and each node hands half its weight to
+    each child, so each leaf ends with the count of its mask. Patterns
+    come in ascending mask order (_outputs). Raises ResourceLimitError when
+    more than DEFAULT_PATTERN_CAP leaves are reached.
+    """
     cap = DEFAULT_PATTERN_CAP
-    regions = _pattern_walk(state, nodes, levels, n, manager._mk, {}, cap)
-    m = len(state) - 1
-    return {_outputs(mask, m): regions[mask] for mask in sorted(regions)}
+    if root < 0:
+        leaves = {root: 1 << n}
+    else:
+        leaves = {}
+        weight = [0] * (root + 1)
+        weight[root] = 1 << n
+        # ids above the root are not below it; ids under it that it does
+        # not reach keep weight 0
+        for u in range(root, -1, -1):
+            half = weight[u] >> 1
+            if not half:
+                continue
+            _, lo, hi = nodes[u]
+            for child in (lo, hi):
+                if child >= 0:
+                    weight[child] += half
+                elif child in leaves:
+                    leaves[child] += half
+                elif len(leaves) < cap:
+                    leaves[child] = half
+                else:
+                    raise ResourceLimitError(
+                        "more than %d output patterns enumerated" % cap
+                    )
+    # the leaf ~k holds mask k, so descending ids are ascending masks
+    return {_outputs(~u, m): leaves[u] for u in sorted(leaves, reverse=True)}
 
 
-def _pattern_walk(
-    state: tuple[int, ...],
+def _region_walk(
+    u: int,
     nodes: list[tuple[int, int, int]],
-    levels: list[int],
-    n: int,
     mk: Callable[[int, int, int], int],
-    memo: dict,
+    memo: dict[int, dict[int, int]],
     cap: int,
 ) -> dict[int, int]:
-    """{pattern mask: region node} for one walk state, as in pattern_split.
-
-    The state splits at its top level into the tuples of low and high
-    cofactors, as in Bryant's (1986) simultaneous traversal, and equal
-    states are shared. The recursion is one frame per level.
+    """{leaf mask: region node} under diagram node u: the inputs below u
+    that reach that leaf, built bottom-up on mk's manager, whose levels
+    are the diagram's. A leaf's mask has the region 1, and a node's region
+    for a mask joins its children's regions with mk, a mask missing from a
+    child giving 0 there. The recursion is one frame per level.
     """
-    if not state[0]:
-        return {}
-    got = memo.get(state)
+    got = memo.get(u)
     if got is not None:
         return got
-    top = min(map(levels.__getitem__, state))
-    if top == n:
-        regions = {_mask(state[1:]): 1}
+    if u < 0:
+        regions = {~u: 1}
     else:
-        lo = tuple([nodes[u][1] if levels[u] == top else u for u in state])
-        hi = tuple([nodes[u][2] if levels[u] == top else u for u in state])
-        low = _pattern_walk(lo, nodes, levels, n, mk, memo, cap)
-        high = _pattern_walk(hi, nodes, levels, n, mk, memo, cap)
-        regions = {mask: mk(top, u, high.get(mask, 0)) for mask, u in low.items()}
-        for mask, v in high.items():
+        top, lo, hi = nodes[u]
+        low = _region_walk(lo, nodes, mk, memo, cap)
+        high = _region_walk(hi, nodes, mk, memo, cap)
+        regions = {mask: mk(top, r, high.get(mask, 0)) for mask, r in low.items()}
+        for mask, r in high.items():
             if mask not in low:
-                regions[mask] = mk(top, 0, v)
-    # every pattern below a state is a pattern of the root
-    if len(regions) > cap:
-        raise ResourceLimitError("more than %d output patterns enumerated" % cap)
-    memo[state] = regions
+                regions[mask] = mk(top, 0, r)
+        # every mask below a node is a mask of the root
+        if len(regions) > cap:
+            raise ResourceLimitError("more than %d output patterns enumerated" % cap)
+    memo[u] = regions
     return regions
 
 
@@ -191,14 +329,17 @@ def pattern_counts(
 
     nodes is a node table over the n levels 0..n-1, and an input's pattern
     is the set of outputs i with f_i = 1. The walk visits the states of
-    pattern_split top-down and keeps one weight per state: the root
-    weighs 2^n, and a state hands half its weight to each of its low and
-    high cofactor states. States are split in ascending order of their
-    top level, so every weight is whole before it is split. The states
-    left at the end hold only terminals, one per pattern, and each weighs
-    its pattern's count. Patterns come in ascending mask order (_outputs). Raises
-    ResourceLimitError when there are more than DEFAULT_PATTERN_CAP
-    patterns.
+    the functions' product top-down, splitting a state at its top level
+    into the tuples of its low and high cofactors as in Bryant's (1986)
+    simultaneous traversal, and keeps one weight per state: the root
+    weighs 2^n, and a state hands half its weight to each of its two
+    cofactor states. States are split in ascending order of their top
+    level, so every weight is whole before it is split. The states left at
+    the end hold only terminals, one per pattern, and each weighs its
+    pattern's count. Patterns come in ascending mask order (_outputs).
+    Raises ResourceLimitError when there are more than DEFAULT_PATTERN_CAP
+    patterns. This is exact_mu_bdd's route for a list of Funcs; a Pla's
+    rows are counted on their row diagram (diagram_counts).
     """
     levels = _levels(nodes, n)
     cap = DEFAULT_PATTERN_CAP

@@ -8,12 +8,12 @@ n + m is the generic upper bound). Three routes are provided:
 * heuristic_mu   -- per-cube accumulation; an upper-bound estimate unless
                     the cube list is already disjoint,
 * exact_mu_cube  -- disjoint rewriting first, then the same accumulation,
-* exact_mu_bdd   -- one top-down walk over the m output BDDs together,
-                    which splits B^n by output pattern without building
-                    the characteristic function chi(x, y). It visits the
-                    product states whose bottom-up walk gives compact()
-                    its regions, but keeps one weight per state instead
-                    of one value per pattern.
+* exact_mu_bdd   -- the partition of B^n by output pattern, without the
+                    characteristic function chi(x, y): for a Pla, one
+                    weighted pass over the multi-terminal diagram of its
+                    rows, whose leaves are output masks and whose regions
+                    compact() writes out; for a list of Funcs, one
+                    top-down walk over the m output BDDs together.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .bdd import Func, Manager
-from .dsop import dsop, pattern_counts
+from .dsop import diagram_counts, dsop, pattern_counts, row_diagram
 from .pla import Pla, cover_union, function_source
 
 METHOD_HEURISTIC_CUBE = "heuristic-cube"
@@ -125,17 +125,23 @@ def _cube_counts(cover: Pla) -> dict[frozenset[int], int]:
 def exact_mu_bdd(
     source: Union[Pla, list[Func]], n: Optional[int] = None
 ) -> LineReport:
-    """Exact per-pattern counts from one top-down walk over all m output BDDs.
+    """Exact per-pattern counts of the partition of B^n by output pattern
+    that Wille, Keszocze and Drechsler (DATE 2011) read off chi(x, y) with
+    the y levels on top, reached without building chi.
 
-    The functions are placed on a fresh manager over the n inputs alone and
-    counted by dsop.pattern_counts, which walks the product states that
-    compact()'s regions come from and keeps one weight per state. This is
-    the partition of B^n by pattern that Wille, Keszocze and Drechsler
-    (DATE 2011) read off chi(x, y) with the y levels on top, reached
-    without building chi. Raises ResourceLimitError when there are more
-    than dsop.DEFAULT_PATTERN_CAP patterns.
+    A Pla's rows are joined into dsop.row_diagram, whose leaves are output
+    masks, and dsop.diagram_counts reads the counts from one pass over its
+    nodes; no Manager is made. A list of Funcs is placed on a fresh manager
+    over the n inputs alone and counted by dsop.pattern_counts, one
+    top-down walk over the product of the m output BDDs. Raises ValueError
+    when n is given for a Pla and differs from pla.n, and
+    ResourceLimitError when there are more than dsop.DEFAULT_PATTERN_CAP
+    patterns.
     """
     n, m, place = function_source(source, n)
+    if isinstance(source, Pla):
+        root, nodes = row_diagram(source)
+        return _finish(METHOD_EXACT_BDD, True, diagram_counts(root, nodes, n, m), m)
     manager = Manager()
     xs = manager.add_vars("x%d" % (i + 1) for i in range(n))
     state = tuple(f.node for f in place(manager, xs))

@@ -179,12 +179,15 @@ def function_source(
     source: Union[Pla, list[Func]], n: Optional[int] = None
 ) -> tuple[int, int, Callable[[Manager, list[int]], list[Func]]]:
     """(n, m, place) for a Pla, or for Funcs over their manager's first n
-    variables (n inferred from the support when not given).
+    variables (n inferred from the support when not given). A Pla has its
+    own width: an n other than pla.n raises ValueError.
 
     place(manager, xs) builds the m functions on manager with input column
     i on xs[i]: by to_functions for a Pla, by transfer for Funcs.
     """
     if isinstance(source, Pla):
+        if n is not None and n != source.n:
+            raise ValueError("n is %d but the Pla has %d inputs" % (n, source.n))
         return source.n, source.m, lambda manager, xs: to_functions(source, manager, xs)
     if n is None:
         n = max((v + 1 for f in source for v in f.support()), default=0)

@@ -15,7 +15,7 @@ from revembed import (
     or_all,
 )
 from revembed.embedding import _entry_steps, _entry_walk, _pattern_trie, _step_plan
-from revembed.pla import function_source
+from revembed.pla import cover_union, function_source, to_functions
 
 
 def cube_points(cube: Cube) -> set[int]:
@@ -290,6 +290,53 @@ def reference_post_compact(pla: Pla) -> Pla:
     for outs in sorted(groups, key=lambda o: tuple(sorted(o))):
         region = or_all([manager.from_cube(cube) for cube in groups[outs]], manager)
         for cube in manager.enumerate_paths(region, pla.n):
+            entries.append((cube, outs))
+    return Pla(
+        pla.n,
+        pla.m,
+        entries,
+        input_names=pla.input_names,
+        output_names=pla.output_names,
+        dsop_certified=True,
+    )
+
+
+def reference_compact(pla: Pla) -> Pla:
+    """compact() by the product of BDDs: the OR of every row's cube and
+    the m output BDDs on one x-only manager, walked together bottom-up and
+    memoised, one region per pattern of (covered, f_1, ..., f_m) with
+    covered = 1. compact() must produce exactly this cube list."""
+    covered = cover_union(pla.n, [cube for cube, _ in pla.entries])
+    manager = covered.manager
+    root = (covered.node, *(f.node for f in to_functions(pla, manager)))
+    # the levels of the state nodes: the walk reads no node it makes
+    nodes, n = manager._nodes, pla.n
+    levels = [n, n] + [lvl for lvl, _, _ in nodes[2:]]
+    memo: dict = {}
+
+    def walk(state):
+        # {pattern: region node}, the pattern being the outputs i with f_i = 1
+        if not state[0]:
+            return {}
+        if state not in memo:
+            top = min(levels[u] for u in state)
+            if top == n:
+                regions = {frozenset(i for i, u in enumerate(state) if i and u): 1}
+            else:
+                lo = tuple(nodes[u][1] if levels[u] == top else u for u in state)
+                hi = tuple(nodes[u][2] if levels[u] == top else u for u in state)
+                low, high = walk(lo), walk(hi)
+                regions = {
+                    outs: manager._mk(top, low.get(outs, 0), high.get(outs, 0))
+                    for outs in {**low, **high}
+                }
+            memo[state] = regions
+        return memo[state]
+
+    regions = walk(root)
+    entries = []
+    for outs in sorted(regions, key=lambda o: tuple(sorted(o))):
+        for cube in manager.enumerate_paths(Func(manager, regions[outs]), n):
             entries.append((cube, outs))
     return Pla(
         pla.n,

@@ -107,8 +107,8 @@ class TestLines:
         assert payload["ell"] == log2_mu
 
     def test_restores_the_recursion_limit(self, capsys, tmp_path):
-        # the manager raises the limit for 16,000 levels; main puts back
-        # the limit it was called with
+        # the row diagram raises the limit for 16,000 levels; main puts
+        # back the limit it was called with
         n = 16000
         wide = tmp_path / "wide.pla"
         wide.write_text(two_cube_pla(n))
@@ -453,7 +453,11 @@ class TestManagerLifetime:
         finally:
             gc.enable()
         assert code == 0
-        assert made
+        if argv[0] == "lines":
+            # the exact-bdd count of a Pla runs on its row diagram alone
+            assert made == []
+        else:
+            assert made
         assert alive == 0
 
 
@@ -491,32 +495,31 @@ class TestSharedParser:
 
 
 class TestThreads:
-    def test_main_on_two_threads_at_once(self, tmp_path):
-        # --timeout is not armed off the main thread, so the inputs are small
-        jobs = {
-            "A": ["dsop", str(CORPUS / "r14c30.pla"), "--compact", "-o"],
-            "B": [
-                "embed", "--exact", str(CORPUS / "rd84.pla"),
-                "--with-offset", "--format", "pla", "-o",
-            ],
-        }
-        # a file per run: redirect_stdout would be shared by both threads
-        for name, argv in jobs.items():
-            assert cli.main(argv + [str(tmp_path / (name + "-main"))]) == 0
-        start = threading.Barrier(len(jobs))
+    # --timeout is not armed off the main thread, so the inputs are small
+    JOBS = {
+        "A": ["dsop", str(CORPUS / "r14c30.pla"), "--compact", "-o"],
+        "B": [
+            "embed", "--exact", str(CORPUS / "rd84.pla"),
+            "--with-offset", "--format", "pla", "-o",
+        ],
+    }
+
+    def run_at_once(self, tmp_path):
+        """Run both jobs on two threads behind a barrier, each writing to
+        its own file: redirect_stdout would be shared by both threads."""
+        start = threading.Barrier(len(self.JOBS))
         codes = {}
 
         def job(name):
             start.wait()
             try:
-                codes[name] = cli.main(jobs[name] + [str(tmp_path / name)])
-            except Exception as exc:  # reported by the assertion below
+                codes[name] = cli.main(self.JOBS[name] + [str(tmp_path / name)])
+            except Exception as exc:  # reported by the caller's assertion
                 codes[name] = exc
 
-        threads = [threading.Thread(target=job, args=(name,)) for name in jobs]
-        # each main() restores the recursion limit it found, so two at once
-        # can leave one raised; short switches interleave the two more
-        limit, interval = sys.getrecursionlimit(), sys.getswitchinterval()
+        threads = [threading.Thread(target=job, args=(name,)) for name in self.JOBS]
+        # short switches interleave the two more
+        interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for thread in threads:
@@ -525,9 +528,32 @@ class TestThreads:
                 thread.join(60)
         finally:
             sys.setswitchinterval(interval)
-            sys.setrecursionlimit(limit)
         assert not any(thread.is_alive() for thread in threads)
+        return codes
+
+    def test_main_on_two_threads_at_once(self, tmp_path):
+        for name, argv in self.JOBS.items():
+            assert cli.main(argv + [str(tmp_path / (name + "-main"))]) == 0
+        limit = sys.getrecursionlimit()
+        try:
+            codes = self.run_at_once(tmp_path)
+        finally:
+            sys.setrecursionlimit(limit)
         assert codes == {"A": 0, "B": 0}
-        for name in jobs:
+        for name in self.JOBS:
             main_run = (tmp_path / (name + "-main")).read_bytes()
             assert (tmp_path / name).read_bytes() == main_run
+
+    def test_overlapping_calls_restore_the_recursion_limit(self, tmp_path):
+        # both commands raise the limit past 1000; the last main() to return
+        # puts back the limit the first one found, and no call lowers it
+        # under another
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            rounds = [self.run_at_once(tmp_path) for _ in range(5)]
+            after = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(before)
+        assert rounds == [{"A": 0, "B": 0}] * 5
+        assert after == 1000

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +22,10 @@ from revembed import (
 )
 
 import revembed.cli as cli
-from helpers import random_pla, reference_dsop, reference_post_compact
+from helpers import random_pla, reference_compact, reference_dsop, reference_post_compact
 
 DSOP_MODULE = importlib.import_module("revembed.dsop")
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 def entry_set(pla):
@@ -205,6 +207,26 @@ class TestCompact:
         assert write_pla(got) == want
         assert write_pla(post_compact(dsop(pla))) == want
         assert brute_dsop_check(got, reference=pla)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text("01--", min_size=6, max_size=6),
+                st.frozensets(st.integers(1, 3), max_size=3),
+            ),
+            max_size=10,
+        )
+    )
+    def test_matches_the_product_of_bdds(self, rows):
+        # rows overlap, carry no outputs, repeat, or leave points uncovered
+        pla = Pla(6, 3, [(Cube.parse(text), outs) for text, outs in rows])
+        assert write_pla(compact(pla)) == write_pla(reference_compact(pla))
+
+    @pytest.mark.parametrize("name", ["r14c30", "r16c40"])
+    def test_corpus_matches_the_product_of_bdds(self, name):
+        pla = parse_pla((CORPUS / (name + ".pla")).read_text())
+        assert write_pla(compact(pla)) == write_pla(reference_compact(pla))
 
     def test_zero_output_rows_and_uncovered_points(self):
         # x1 = 1 drives output 1; x1 = 0, x2 = 1 is covered by a row with

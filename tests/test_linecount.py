@@ -103,6 +103,21 @@ class TestExactBddInputs:
         rep = exact_mu_bdd(funcs, n=running.n)
         assert pattern_map(rep) == RUNNING_EXACT
 
+    def test_pla_width_must_match_n(self, running):
+        assert pattern_map(exact_mu_bdd(running, n=running.n)) == RUNNING_EXACT
+        for n in (running.n - 1, running.n + 1):
+            message = "n is %d but the Pla has %d inputs" % (n, running.n)
+            with pytest.raises(ValueError, match=message):
+                exact_mu_bdd(running, n=n)
+            with pytest.raises(ValueError, match=message):
+                rv.pla.function_source(running, n)
+
+    def test_pla_count_makes_no_manager(self, running):
+        with mock.patch.object(
+            LINECOUNT_MODULE, "Manager", side_effect=AssertionError("Manager made")
+        ):
+            assert pattern_map(exact_mu_bdd(running)) == RUNNING_EXACT
+
     def test_pattern_cap(self, running, monkeypatch):
         monkeypatch.setattr(DSOP_MODULE, "DEFAULT_PATTERN_CAP", 2)
         with pytest.raises(ResourceLimitError):
@@ -204,6 +219,32 @@ class TestAgreement:
         assert (got.mu, got.ell, got.total_lines) == (
             want.mu, want.ell, want.total_lines,
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_row_diagram_matches_the_product_walk(self, n, m, data):
+        # rows overlap, carry no outputs, repeat, or leave points uncovered
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    st.text("01--", min_size=n, max_size=n),
+                    st.frozensets(st.integers(1, m), max_size=m),
+                ),
+                max_size=12,
+            )
+        )
+        pla = Pla(n, m, [(Cube.parse(text), outs) for text, outs in rows])
+        got = exact_mu_bdd(pla).per_pattern
+        manager = Manager()
+        manager.add_vars("x%d" % (i + 1) for i in range(n))
+        funcs = rv.to_functions(pla, manager)
+        want = exact_mu_bdd(funcs, n=n).per_pattern
+        assert list(got.items()) == list(want.items())
+        assert got == brute_mu(pla).per_pattern
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))

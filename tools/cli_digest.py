@@ -6,10 +6,11 @@ Usage: python3 tools/cli_digest.py SRC_DIR
 With one directory it imports ``revembed`` from SRC_DIR (the ``src``
 directory of a checkout) and runs a fixed list of commands in-process on
 the shipped PLAs and on the ``perfbench/corpus`` covers with 16 or fewer
-inputs, plus the ``lines`` counts of the wider covers in ``WIDE_COVERS``,
-the checked Bennett relation of ``WIDE_DOT_COVER`` as dot, and the Bennett
-and exact embeddings and exact-bdd count of the benchmark's two-cube PLA
-with ``PAIR_INPUTS`` inputs.
+inputs, plus the ``lines`` counts and the ``dsop --compact`` rewrite of
+the wider covers in ``WIDE_COVERS``, the checked Bennett relation of
+``WIDE_DOT_COVER`` as dot, and the Bennett and exact embeddings and
+exact-bdd count of the benchmark's two-cube PLA with ``PAIR_INPUTS``
+inputs.
 For each command it prints one line: the exit code, the md5 of stdout, and
 the command. Two checkouts produce identical output exactly when every
 command exits the same way and writes the same bytes, ``--format dot`` node
@@ -62,11 +63,13 @@ PER_FILE = [
     ["embed", "--exact", "--verify"],
 ]
 
-# covers above MAX_INPUTS, where only the symbolic line counts run fast
+# covers above MAX_INPUTS, where only the symbolic line counts and the
+# compaction, which never runs dsop, run fast
 WIDE_COVERS = ["r20c40", "r20c100", "r24c182"]
 WIDE_FILE = [
     ["lines", "--method", "exact-bdd"],
     ["lines", "--method", "heuristic"],
+    ["dsop", "--compact"],
 ]
 # with GEN's redundancy 10 10, the largest and/or builds of the benchmark's
 # symbolic-count workload: their raw dot md5s pin node ids at that scale
