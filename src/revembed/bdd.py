@@ -27,8 +27,12 @@ table (exists); a level without a rule stays as it is.
 
 Counting helpers use Python integers throughout, so satisfying-assignment
 counts stay exact at thousands of variables. Counts and supports are read
-per call from one pass over the reachable nodes and never cached. Managers
-are not thread-safe; confine each manager to one thread.
+per call from one pass over the reachable nodes and never cached. sat_count
+runs the pass top-down, parents first, and weighs each node by the
+assignments above it that lead there (Knuth, TAOCP 4A 7.1.4, counts the
+same models bottom-up): a node hands its weight on to its children and
+drops it, so only the weights of the frontier are held, not a count per
+node. Managers are not thread-safe; confine each manager to one thread.
 """
 from __future__ import annotations
 
@@ -40,8 +44,18 @@ from .cube import Cube
 TERMINAL_LEVEL = sys.maxsize
 # add_vars and dsop's row diagram raise the interpreter's recursion limit
 # with their level count, up to this cap, which bounds the depth of the
-# recursive walks
-MAX_RECURSION = 40000
+# recursive walks. Since Python 3.11 a call from Python to Python takes no
+# C stack frame, so the cap there is ten times the one that keeps 3.10's
+# C stack safe; a recursive generator would still take one per level, and
+# tests/test_bdd.py checks that the package has none. WIDTH_CEILING is the
+# narrowest two-cube PLA whose embed --verify reaches the cap, as measured:
+# under 400,000, --bennett ran at 199,900 inputs and --exact at 199,990,
+# and both exited 2 at 200,000; under 40,000 they ran at 19,800 and 19,990
+# and exited 2 at 20,000.
+if sys.version_info >= (3, 11):
+    MAX_RECURSION, WIDTH_CEILING = 400000, 200000
+else:
+    MAX_RECURSION, WIDTH_CEILING = 40000, 20000
 
 
 def raise_recursion_limit(levels: int) -> None:
@@ -410,32 +424,50 @@ class Manager:
 
         Exact arbitrary-precision count over any variable window of the
         given size that contains f's support (Knuth, TAOCP 4A 7.1.4), from
-        one ascending pass over f's reachable nodes per call, which also
+        one top-down pass over f's reachable nodes per call, which also
         collects the support (nothing is cached); errors when the window is
         smaller than the support.
+
+        A node's weight is the number of assignments to the levels above it
+        that lead to it: the root weighs 2^level, and a node hands its
+        weight to each inner child shifted by the levels the edge skips, or
+        adds it to the total over all levels when the edge reaches the
+        1-terminal. Each weight is dropped once handed on, so the weights
+        held at any time are those of the frontier, not of the graph.
         """
         u = self._check(f)
         nodes, top = self._nodes, len(self._names)
-        # per node: its models over the levels level..top-1, terminals at
-        # top; the reachable ids ascend past the terminals, 0 and 1, and
-        # _mk links only to existing nodes, so children come first
-        count = {0: 0, 1: 1}
+        # the reachable ids descend to the terminals, 1 and 0, and _mk links
+        # only to existing nodes, so parents come first
+        order = sorted(self._reachable(u), reverse=True)[:-2]
+        weight = {u: 1 << nodes[u][0]} if u >= 2 else {}
+        total = 1 << top if u == 1 else 0
         levels = set()
-        for x in sorted(self._reachable(u))[2:]:
+        get, pop = weight.get, weight.pop
+        for x in order:
             lvl, lo, hi = nodes[x]
             levels.add(lvl)
-            llo = nodes[lo][0] if lo >= 2 else top
-            lhi = nodes[hi][0] if hi >= 2 else top
-            count[x] = (count[lo] << (llo - lvl - 1)) + (count[hi] << (lhi - lvl - 1))
+            w = pop(x)
+            if lo >= 2:
+                add = w << (nodes[lo][0] - lvl - 1)
+                got = get(lo)
+                weight[lo] = add if got is None else got + add
+            elif lo:
+                total += w << (top - lvl - 1)
+            if hi >= 2:
+                add = w << (nodes[hi][0] - lvl - 1)
+                got = get(hi)
+                weight[hi] = add if got is None else got + add
+            elif hi:
+                total += w << (top - lvl - 1)
         if support_size < len(levels):
             raise ValueError(
                 "support_size %d is smaller than the support (%d variables)"
                 % (support_size, len(levels))
             )
-        # rescale from the top - level levels counted to the window
-        shift = support_size - (top - (nodes[u][0] if u >= 2 else top))
-        models = count[u]
-        return models << shift if shift >= 0 else models >> -shift
+        # rescale from the top levels counted to the window
+        shift = support_size - top
+        return total << shift if shift >= 0 else total >> -shift
 
     def eval(self, f: Func, assignment) -> int:
         """Pointwise evaluation. assignment is indexed by variable index

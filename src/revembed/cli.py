@@ -27,7 +27,7 @@ import threading
 import time
 from pathlib import Path
 
-from .bdd import MAX_RECURSION
+from . import bdd
 from .benchgen import redundancy, restricted_growth
 from .dsop import compact, dsop
 from .embedding import (
@@ -377,11 +377,10 @@ def _main(argv) -> int:
         print("resource limit: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return EXIT_RESOURCE
     except RecursionError:
-        # the walks over a relation take about two levels per input
         print(
             "resource limit: input too wide: BDD recursion passed its depth cap "
             "of %d levels (inputs past about %d reach it)"
-            % (MAX_RECURSION, MAX_RECURSION // 2),
+            % (bdd.MAX_RECURSION, bdd.WIDTH_CEILING),
             file=sys.stderr,
         )
         return EXIT_RESOURCE

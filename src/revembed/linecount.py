@@ -17,12 +17,12 @@ n + m is the generic upper bound). Three routes are provided:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .bdd import Func, Manager
 from .dsop import diagram_counts, dsop, pattern_counts, row_diagram
-from .pla import Pla, cover_union, function_source
+from .pla import Pla, function_source
 
 METHOD_HEURISTIC_CUBE = "heuristic-cube"
 METHOD_EXACT_CUBE = "exact-cube"
@@ -102,17 +102,18 @@ def _cube_counts(cover: Pla) -> dict[frozenset[int], int]:
     the exact OFF-set size: 2^n less the size of the union of the rows
     that construct some output, which is the union of the m ON-sets. A
     dsop-certified cover's rows are pairwise disjoint, so that size is the
-    sum of their buckets and no BDD is built; any other cover's union is
-    built and counted on a fresh manager."""
+    sum of their buckets and no diagram is built. Any other cover's rows
+    with outputs are joined into one row diagram that maps each of them to
+    the leaf of mask 1, so the background leaf's count is the OFF-set's."""
     per: dict[frozenset[int], int] = {}
     for cube, outs in cover.entries:
         per[outs] = per.get(outs, 0) + cube.on_size()
     if cover.dsop_certified:
-        on_count = sum(count for outs, count in per.items() if outs)
+        off_count = (1 << cover.n) - sum(count for outs, count in per.items() if outs)
     else:
-        on = cover_union(cover.n, [cube for cube, outs in cover.entries if outs])
-        on_count = on.sat_count(cover.n)
-    off_count = (1 << cover.n) - on_count
+        rows = [(cube, frozenset()) for cube, outs in cover.entries if outs]
+        root, nodes = row_diagram(replace(cover, entries=rows), 1)
+        off_count = diagram_counts(root, nodes, cover.n, 0).get(frozenset(), 0)
     # rows that construct nothing were accumulated like any other; replace
     # that estimate with the true OFF-set size, dropping it when f is total
     if off_count:

@@ -104,6 +104,31 @@ def mk_rebuild(target: Manager, f: Func, move=None, fixed=None) -> Func:
     return Func(target, walk(f.node))
 
 
+def reference_sat_count(f: Func, support_size: int) -> int:
+    """Manager.sat_count bottom-up, as Knuth (TAOCP 4A 7.1.4) counts: one
+    ascending pass over f's reachable nodes that keeps every node's count
+    of models over the levels from its own to the last until it returns.
+    The reference for the top-down count."""
+    manager = f.manager
+    u, nodes, top = f.node, manager._nodes, manager.var_count()
+    count = {0: 0, 1: 1}
+    levels = set()
+    for x in sorted(manager._reachable(u))[2:]:
+        lvl, lo, hi = nodes[x]
+        levels.add(lvl)
+        llo = nodes[lo][0] if lo >= 2 else top
+        lhi = nodes[hi][0] if hi >= 2 else top
+        count[x] = (count[lo] << (llo - lvl - 1)) + (count[hi] << (lhi - lvl - 1))
+    if support_size < len(levels):
+        raise ValueError(
+            "support_size %d is smaller than the support (%d variables)"
+            % (support_size, len(levels))
+        )
+    shift = support_size - (top - (nodes[u][0] if u >= 2 else top))
+    models = count[u]
+    return models << shift if shift >= 0 else models >> -shift
+
+
 def two_cube_pla(n: int) -> str:
     """PLA text over n inputs: x1 = 1 drives output 1, x_n = 1 output 2."""
     return ".i %d\n.o 2\n1%s 10\n%s1 01\n.e\n" % (n, "-" * (n - 1), "-" * (n - 1))

@@ -1,23 +1,54 @@
+import ast
 import itertools
+import random
 import re
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import revembed
 from revembed import (
     Cube,
     Func,
     Manager,
     ResourceLimitError,
     and_all,
+    complete_offset,
+    dsop,
+    embed_bennett,
+    embed_exact,
     or_all,
+    parse_pla,
     redundancy,
+    restricted_growth,
 )
 
 from revembed.bdd import MAX_RECURSION
+from revembed.oracle import table_from_func
 
-from helpers import cube_points, mk_rebuild
+from helpers import cube_points, mk_rebuild, reference_sat_count, two_cube_pla
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+
+
+def corpus_pla(name):
+    return parse_pla((CORPUS / (name + ".pla")).read_text())
+
+
+# relations and generated functions, each built in under a second; the
+# Bennett relations have the interleaved order, the exact one skips levels
+COUNTED = {
+    "r14c8-exact-offset": lambda: embed_exact(
+        dsop(complete_offset(corpus_pla("r14c8")))
+    ).chi,
+    "r12c20-bennett": lambda: embed_bennett(corpus_pla("r12c20")).chi,
+    "two-cube-300-bennett": lambda: embed_bennett(parse_pla(two_cube_pla(300))).chi,
+    "redundancy-10-10": lambda: redundancy(10, 10),
+    "rgs-8": lambda: restricted_growth(8),
+}
 
 
 @pytest.fixture
@@ -25,6 +56,34 @@ def mgr():
     m = Manager()
     m.add_vars(["a", "b", "c", "d"])
     return m
+
+
+NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def recursive_generators(source):
+    """Names of the generator functions in source that call themselves, by
+    name or as an attribute such as self.name."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        # the function's own nodes: a nested def or lambda is scanned apart
+        own, stack = [], list(fn.body)
+        while stack:
+            x = stack.pop()
+            own.append(x)
+            if not isinstance(x, NESTED):
+                stack.extend(ast.iter_child_nodes(x))
+        callees = {
+            getattr(x.func, "id", None) or getattr(x.func, "attr", None)
+            for x in own
+            if isinstance(x, ast.Call)
+        }
+        yields = any(isinstance(x, (ast.Yield, ast.YieldFrom)) for x in own)
+        if yields and fn.name in callees:
+            found.append(fn.name)
+    return found
 
 
 def all_points(nvars):
@@ -336,6 +395,74 @@ class TestCounting:
         finally:
             sys.setrecursionlimit(limit)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 10),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["and", "or", "xor"]),
+                st.text("01-", min_size=10, max_size=10),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_sat_count_matches_enumeration(self, n, steps):
+        # f folds cubes over n variables with and, or and xor; every window
+        # from the support up to past the manager's width is counted
+        manager = Manager()
+        manager.add_vars("x%d" % i for i in range(n))
+        f = manager.false
+        for op, text in steps:
+            f = manager.apply(op, f, manager.from_cube(Cube.parse(text[:n])))
+        models = int(table_from_func(f, n).sum())
+        for window in range(f.support_size(), n + 3):
+            got = manager.sat_count(f, window)
+            if window <= n:
+                assert got << (n - window) == models
+            else:
+                assert got == models << (window - n)
+        if f.support_size():
+            with pytest.raises(ValueError, match="smaller than the support"):
+                manager.sat_count(f, f.support_size() - 1)
+
+    @pytest.mark.parametrize("name", sorted(COUNTED))
+    def test_sat_count_matches_the_bottom_up_count(self, name):
+        f = COUNTED[name]()
+        manager = f.manager
+        top = manager.var_count()
+        # the root, terminals and inner nodes drawn from f's reachable ones
+        inner = sorted(manager._reachable(f.node) - {0, 1})
+        rng = random.Random(0)
+        picks = [f, manager.true, manager.false]
+        picks += [Func(manager, u) for u in rng.sample(inner, min(20, len(inner)))]
+        for g in picks:
+            support = g.support_size()
+            windows = {support, support + 1, top - 1, top, top + 7}
+            for window in sorted(w for w in windows if w >= support):
+                assert manager.sat_count(g, window) == reference_sat_count(g, window)
+            if support:
+                with pytest.raises(ValueError) as got:
+                    manager.sat_count(g, support - 1)
+                with pytest.raises(ValueError) as want:
+                    reference_sat_count(g, support - 1)
+                assert str(got.value) == str(want.value)
+
+    def test_sat_count_holds_only_the_frontier(self):
+        # the 6000-input Bennett relation has 36,011 nodes; keeping every
+        # node's 12,000-bit count took a 17.6 MB tracemalloc peak, and
+        # handing weights on top-down holds 2.6 MB
+        n = 6000
+        chi = embed_bennett(parse_pla(two_cube_pla(n))).chi
+        tracemalloc.start()
+        try:
+            count = chi.sat_count(chi.manager.var_count())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one y per x, and kappa free
+        assert count == 1 << (n + 2)
+        assert peak < 6 * 2**20
+
     def test_enumerate_paths_partition(self, mgr):
         a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
         f = (a & b) | (~a & c)
@@ -382,10 +509,29 @@ class TestLevels:
             sys.setrecursionlimit(1000)
             Manager().add_vars("x%d" % i for i in range(500))
             assert sys.getrecursionlimit() == 2500
-            Manager().add_vars("x%d" % i for i in range(20000))
+            # 1000 + 3 levels each would pass the cap: it stops there
+            Manager().add_vars("x%d" % i for i in range(MAX_RECURSION // 2))
             assert sys.getrecursionlimit() == MAX_RECURSION
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_no_generator_in_the_package_calls_itself(self):
+        # since Python 3.11 a recursive call takes no C stack frame, which
+        # is what lets MAX_RECURSION rise past 40000; a recursive generator
+        # still takes one per level, and a yield from chain 40000 deep
+        # crashes the interpreter
+        assert recursive_generators("def f(x):\n    yield from f(x - 1)\n") == ["f"]
+        method = "class C:\n    def g(self):\n        yield self.g()\n"
+        assert recursive_generators(method) == ["g"]
+        plain = "def h(x):\n    def k():\n        yield 1\n    return h(x - 1)\n"
+        assert recursive_generators(plain) == []
+        package = Path(revembed.__file__).parent
+        found = {
+            path.name: recursive_generators(path.read_text())
+            for path in sorted(package.glob("*.py"))
+        }
+        assert len(found) > 5
+        assert not any(found.values()), found
 
     def test_level_and_name_give_one_node(self, mgr):
         for level, name in enumerate("abcd"):

@@ -199,21 +199,75 @@ class TestEmbed:
         assert code == 1
         assert "with-offset" in err
 
-    def test_too_wide_for_the_recursion_exits_2(self, capsys, tmp_path):
+    def test_too_wide_for_the_recursion_exits_2(self, capsys, tmp_path, monkeypatch):
         # the interleaved Bennett order has two levels per line, so
         # verify's quantification over chi passes the depth cap of the
-        # recursive BDD core at 20000 inputs
+        # recursive BDD core at WIDTH_CEILING inputs; Python 3.10's cap
+        # and ceiling keep this run small
+        monkeypatch.setattr(cli.bdd, "MAX_RECURSION", 40000)
+        monkeypatch.setattr(cli.bdd, "WIDTH_CEILING", 20000)
         n = 20000
         wide = tmp_path / "wide.pla"
         wide.write_text(two_cube_pla(n))
-        code, out, err = run(capsys, "embed", str(wide), "--bennett", "--verify")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code, out, err = run(capsys, "embed", str(wide), "--bennett", "--verify")
+        finally:
+            sys.setrecursionlimit(limit)
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("resource limit:")
         assert err.count("\n") == 1
         # the line names the width, not one command
+        assert "depth cap of 40000 levels" in err
         assert "inputs past about 20000" in err
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="the recursion cap is 40000 before 3.11"
+    )
+    def test_exact_verify_runs_past_20000_inputs(self, capsys, tmp_path):
+        n = 30000
+        wide = tmp_path / "wide.pla"
+        wide.write_text(two_cube_pla(n))
+        code, out, err = run(capsys, "embed", str(wide), "--exact", "--verify")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["r"], payload["partial"]) == (n, True)
+        # without the offset the relation is partial, so not total
+        assert payload["verify"] == {
+            "injective": True, "functional": True, "total": False, "projects": True,
+        }
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="the recursion cap is 40000 before 3.11"
+    )
+    def test_bennett_verify_runs_past_20000_inputs_in_bounded_memory(self, tmp_path):
+        # the command runs in a process of its own, started by a small
+        # launcher that reads its peak: a process started straight from
+        # this one would take this one's peak into its ru_maxrss at exec
+        n = 30000
+        wide = tmp_path / "wide.pla"
+        wide.write_text(two_cube_pla(n))
+        script = tmp_path / "peak.py"
+        script.write_text(
+            "import resource, subprocess, sys\n"
+            "argv = [sys.executable, '-m', 'revembed.cli'] + sys.argv[1:]\n"
+            "done = subprocess.run(argv, stdout=subprocess.PIPE, text=True)\n"
+            "sys.stdout.write(done.stdout)\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "# kilobytes on Linux, bytes on macOS\n"
+            "scale = 1 << 20 if sys.platform == 'darwin' else 1 << 10\n"
+            "sys.stderr.write('%.1f\\n' % (peak / scale))\n"
+            "sys.exit(done.returncode)\n"
+        )
+        done = run_script(script, "embed", str(wide), "--bennett", "--verify")
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)
+        assert payload["r"] == n + 2
+        assert all(payload["verify"].values())
+        assert float(done.stderr) < 150
 
     def test_wide_pla_dump_exits_2(self, capsys, tmp_path):
         # every Bennett row has 4,004 cells: the dump's cell budget ends it

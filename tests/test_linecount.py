@@ -256,6 +256,21 @@ class TestAgreement:
         assert got == brute_mu(pla).per_pattern.get(frozenset())
 
     @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 8), m=st.integers(1, 4), data=st.data())
+    def test_heuristic_off_set_on_a_row_diagram(self, n, m, data):
+        # empty Plas, rows with no outputs and all-don't-care rows; the
+        # OFF-set is counted on a row diagram, with no Manager
+        texts = st.one_of(st.text("01--", min_size=n, max_size=n), st.just("-" * n))
+        outs = st.frozensets(st.integers(1, m), max_size=m)
+        rows = data.draw(st.lists(st.tuples(texts, outs), max_size=10))
+        pla = Pla(n, m, [(Cube.parse(text), o) for text, o in rows])
+        with mock.patch.object(
+            rv.Manager, "__init__", side_effect=AssertionError("Manager made")
+        ):
+            got = heuristic_mu(pla).per_pattern
+        assert got.get(frozenset()) == brute_mu(pla).per_pattern.get(frozenset())
+
+    @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 8),
         st.integers(1, 4),
@@ -269,7 +284,7 @@ class TestAgreement:
         rows = Pla(cover.n, cover.m, cover.entries)
         union = heuristic_mu(rows).per_pattern.get(frozenset())
         with mock.patch.object(
-            LINECOUNT_MODULE, "cover_union", side_effect=AssertionError("BDD built")
+            LINECOUNT_MODULE, "row_diagram", side_effect=AssertionError("diagram built")
         ):
             got = heuristic_mu(cover)
             exact = exact_mu_cube(pla)
