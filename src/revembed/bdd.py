@@ -51,7 +51,8 @@ TERMINAL_LEVEL = sys.maxsize
 # narrowest two-cube PLA whose embed --verify reaches the cap, as measured:
 # under 400,000, --bennett ran at 199,900 inputs and --exact at 199,990,
 # and both exited 2 at 200,000; under 40,000 they ran at 19,800 and 19,990
-# and exited 2 at 20,000.
+# and exited 2 at 20,000. The CLI refuses such a relation before building
+# it (cli._check_depth).
 if sys.version_info >= (3, 11):
     MAX_RECURSION, WIDTH_CEILING = 400000, 200000
 else:

@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage or input errors or an unwritable output
 file, 2 an exhausted time or pattern budget, a --format pla dump past its
 row or cell budget, a bench --ordering-study of more than
 embedding.MAX_STUDY_LINES = 16 lines, or an input too wide for the
-recursive BDD core, 3 a requested verification failed.
+recursive BDD core, 3 a requested verification failed. embed --verify
+exits 2 for width before it builds the relation, once the relation's
+line count is known.
 
 The --timeout budget is a SIGALRM timer, so main() enforces it only when
 called on the main thread; called from any other thread it runs unbounded.
@@ -216,9 +218,15 @@ def _cmd_embed(args) -> int:
         raise _UsageError("--with-offset only applies to --exact")
     if args.exact:
         prepared = complete_offset(pla) if args.with_offset else pla
-        rcbdd = embed_exact(dsop(prepared))
+        cover = dsop(prepared)
+        if args.verify:
+            # embed_exact's r: the cover is certified, so this ell is exact
+            _check_depth(pla.m + heuristic_mu(cover).ell)
+        rcbdd = embed_exact(cover)
         mode = "exact"
     else:
+        if args.verify:
+            _check_depth(pla.n + pla.m)
         rcbdd = embed_bennett(pla)
         mode = "bennett"
     report = verify(rcbdd, pla) if args.verify else None
@@ -240,6 +248,35 @@ def _cmd_embed(args) -> int:
             print("verification failed: %s" % (report.to_dict(),), file=sys.stderr)
             return EXIT_VERIFY
     return EXIT_OK
+
+
+def _check_depth(r: int) -> None:
+    """ResourceLimitError, before any node is made, when embed --verify of
+    a relation on r lines would pass bdd.MAX_RECURSION.
+
+    verify's deepest walk takes one frame per level, 2r, and its deepest
+    frame lies 2r + 4 below its caller's. A descent to that depth, under
+    the limit the build will raise to, tells whether the walks fit: the
+    interpreter counts its own depth, with the calls that enter Python
+    from C, which a count of frames would miss.
+    """
+    bdd.raise_recursion_limit(2 * r)
+    try:
+        _descend(2 * r + 2)
+    except RecursionError:
+        raise ResourceLimitError(_too_wide()) from None
+
+
+def _descend(k: int) -> None:
+    if k:
+        _descend(k - 1)
+
+
+def _too_wide() -> str:
+    return (
+        "input too wide: BDD recursion passed its depth cap of %d levels "
+        "(inputs past about %d reach it)" % (bdd.MAX_RECURSION, bdd.WIDTH_CEILING)
+    )
 
 
 def _cmd_gen(args) -> int:
@@ -377,12 +414,7 @@ def _main(argv) -> int:
         print("resource limit: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return EXIT_RESOURCE
     except RecursionError:
-        print(
-            "resource limit: input too wide: BDD recursion passed its depth cap "
-            "of %d levels (inputs past about %d reach it)"
-            % (bdd.MAX_RECURSION, bdd.WIDTH_CEILING),
-            file=sys.stderr,
-        )
+        print("resource limit: %s" % _too_wide(), file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

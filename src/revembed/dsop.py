@@ -16,18 +16,23 @@ over its literals (i, b), so the lowest surviving bit is the first overlap
 in list order, the same one a front-to-back scan would find.
 
 Wille, Keszocze and Drechsler's (DATE 2011) partition of B^n by output
-pattern is read off a Pla's row diagram: a multi-terminal decision diagram
-(the ADD/MTBDD of Bahar et al., ICCAD 1993) over the inputs whose leaves
-are output masks, built by one balanced OR of one chain per row
-(row_diagram). diagram_counts() gives each pattern's size from one
-weighted pass over its nodes, which is all linecount.exact_mu_bdd() needs
-for a Pla. compact() sets a covered bit above the outputs and builds each
-pattern's region as a BDD with one memoised bottom-up walk over the
-diagram, then writes a smaller disjoint cover without running dsop(), one
-cube per root-to-1 path of each region; post_compact() is the same
-rewrite for a Pla that dsop() has already certified. pattern_counts()
-counts the patterns of a tuple of BDDs by walking their product top-down,
-exact_mu_bdd()'s route for a list of Funcs.
+pattern is what linecount.exact_mu_bdd() reads. For a Pla, pla_counts()
+gives each pattern's size from one top-down pass over the rows as
+bitsets (row_counts), one weight per state of the OR of the output masks
+of the rows settled on the path and the rows still live; it visits only
+the levels where some row has a literal, and merges the rows whose
+residual literals and masks are equal, so no diagram is built.
+compact() needs each pattern's region as a canonical BDD, so it reads
+them off the row diagram: a multi-terminal decision diagram (the ADD/MTBDD
+of Bahar et al., ICCAD 1993) over the inputs whose leaves are output
+masks, built by one balanced OR of one chain per row (row_diagram), with
+a covered bit above the outputs. One memoised bottom-up walk over the
+diagram builds the regions, and compact() writes a smaller disjoint cover
+without running dsop(), one cube per root-to-1 path of each region;
+post_compact() is the same rewrite for a Pla that dsop() has already
+certified. pattern_counts() counts the patterns of a tuple of BDDs by
+walking their product top-down, exact_mu_bdd()'s route for a list of
+Funcs.
 """
 from __future__ import annotations
 
@@ -154,7 +159,7 @@ def row_diagram(pla: Pla, cover: int = 0) -> tuple[int, list[tuple[int, int, int
     unique: dict[tuple[int, int, int], int] = {}
     work = []
     for cube, outs in pla.entries:
-        u = ~(cover | sum(1 << (pla.m - i) for i in outs))
+        u = ~(cover | _row_mask(outs, pla.m))
         if u == -1:  # the background: the row adds nothing
             continue
         care, value = cube.care, cube.value
@@ -248,45 +253,171 @@ def _or_rows(u: int, v: int, nodes: list, unique: dict, memo: dict) -> int:
     return out
 
 
-def diagram_counts(
-    root: int, nodes: list[tuple[int, int, int]], n: int, m: int
-) -> dict[frozenset[int], int]:
-    """{output set: input count} over B^n from row_diagram's (root, nodes)
-    for rows over n inputs and m outputs with no cover bit.
+def pla_counts(pla: Pla) -> dict[frozenset[int], int]:
+    """{output set: input count} over B^n: row_counts over the rows' output
+    masks, so the patterns come in ascending mask order (_outputs)."""
+    rows = [(cube, _row_mask(outs, pla.m)) for cube, outs in pla.entries]
+    return {_outputs(k, pla.m): c for k, c in row_counts(rows, pla.n).items()}
 
-    One pass over the nodes in descending id order, parents before
-    children: the root weighs 2^n, and each node hands half its weight to
-    each child, so each leaf ends with the count of its mask. Patterns
-    come in ascending mask order (_outputs). Raises ResourceLimitError when
-    more than DEFAULT_PATTERN_CAP leaves are reached.
+
+def row_counts(rows: list[tuple[Cube, int]], n: int) -> dict[int, int]:
+    """{mask: input count} over B^n in ascending mask order, where an
+    input's mask is the OR of the masks of the rows whose cubes cover it,
+    0 for none.
+
+    One top-down pass over the levels where some row has a literal, with
+    one weight per state (acc, live): acc is the OR of the masks of the
+    rows settled on the path, and live is the bitset of the rows that
+    agree with the path, have literals left and carry a mask bit acc
+    lacks. The root weighs 2^n. At a level where a live row has a literal,
+    a state hands half its weight to each cofactor state, and a row
+    settles at its last literal, ORing its mask into acc. A state whose
+    live is empty hands its weight to the leaf acc. After each level, the
+    rows with the same literals below it and the same mask behave alike,
+    so each is replaced by the lowest-index row among them (_merges);
+    without that, the P rows x_i & z would make 2^P states. Raises
+    ResourceLimitError when more than DEFAULT_PATTERN_CAP leaves are
+    reached.
     """
     cap = DEFAULT_PATTERN_CAP
-    if root < 0:
-        leaves = {root: 1 << n}
-    else:
-        leaves = {}
-        weight = [0] * (root + 1)
-        weight[root] = 1 << n
-        # ids above the root are not below it; ids under it that it does
-        # not reach keep weight 0
-        for u in range(root, -1, -1):
-            half = weight[u] >> 1
-            if not half:
-                continue
-            _, lo, hi = nodes[u]
-            for child in (lo, hi):
-                if child >= 0:
-                    weight[child] += half
-                elif child in leaves:
-                    leaves[child] += half
+    # rows with no literal settle at the root, rows of mask 0 add nothing,
+    # and a repeated row adds nothing to its first copy
+    acc = 0
+    kept = []
+    for cube, mask in rows:
+        if not cube.care:
+            acc |= mask
+        elif mask:
+            kept.append((cube, mask))
+    kept = list(dict.fromkeys(kept))
+    masks = [mask for _, mask in kept]
+    # the rows' literals by level as (row, bit), and as bitsets by polarity
+    at: dict[int, list[tuple[int, int]]] = {}
+    ones: dict[int, int] = {}
+    zeros: dict[int, int] = {}
+    last: dict[int, int] = {}
+    has: dict[int, int] = {}
+    for i, (cube, mask) in enumerate(kept):
+        bit = 1 << i
+        for pos, b in cube.literals():
+            at.setdefault(pos, []).append((i, b))
+            table = ones if b else zeros
+            table[pos] = table.get(pos, 0) | bit
+        top = cube.care.bit_length() - 1
+        last[top] = last.get(top, 0) | bit
+        for b in bit_positions(mask):
+            has[b] = has.get(b, 0) | bit
+    levels = sorted(at)
+    merges = _merges(masks, at, levels)
+    needed: dict[int, int] = {}
+
+    def needing(a: int) -> int:
+        """The rows with a mask bit that a lacks."""
+        got = needed.get(a)
+        if got is None:
+            got = 0
+            for b, holders in has.items():
+                if not (a >> b) & 1:
+                    got |= holders
+            needed[a] = got
+        return got
+
+    live = ((1 << len(kept)) - 1) & needing(acc)
+    states = {(acc, live): 1 << n} if live else {}
+    leaves = {} if live else {acc: 1 << n}
+    for level in levels:
+        one, zero, done = ones.get(level, 0), zeros.get(level, 0), last.get(level, 0)
+        movers, reps = merges.get(level, (0, {}))
+        nxt: dict[tuple[int, int], int] = {}
+        for (acc, live), weight in states.items():
+            pos, neg = live & one, live & zero
+            if pos or neg:
+                weight >>= 1
+                # the low cofactor loses the rows with x = 1, the high one
+                # those with x = 0
+                children = (live ^ pos, live ^ neg)
+            else:
+                children = (live,)
+            for rest in children:
+                got = acc
+                settled = rest & done
+                if settled:
+                    rest ^= settled
+                    while settled:
+                        low = settled & -settled
+                        got |= masks[low.bit_length() - 1]
+                        settled ^= low
+                    if got != acc:
+                        rest &= needing(got)
+                moved = rest & movers
+                if moved:
+                    rest ^= moved
+                    while moved:
+                        low = moved & -moved
+                        rest |= reps[low.bit_length() - 1]
+                        moved ^= low
+                if rest:
+                    key = (got, rest)
+                    nxt[key] = nxt.get(key, 0) + weight
+                elif got in leaves:
+                    leaves[got] += weight
                 elif len(leaves) < cap:
-                    leaves[child] = half
+                    leaves[got] = weight
                 else:
                     raise ResourceLimitError(
                         "more than %d output patterns enumerated" % cap
                     )
-    # the leaf ~k holds mask k, so descending ids are ascending masks
-    return {_outputs(~u, m): leaves[u] for u in sorted(leaves, reverse=True)}
+        states = nxt
+    return {mask: leaves[mask] for mask in sorted(leaves)}
+
+
+def _merges(
+    masks: list[int], at: dict[int, list[tuple[int, int]]], levels: list[int]
+) -> dict[int, tuple[int, dict[int, int]]]:
+    """{level: (movers, reps)} for row_counts' distinct rows, given their
+    masks and their literals by level (at), as (row, bit).
+
+    One bottom-up pass over the levels names what each row has left below
+    a level: a mask names an empty residual, and a literal put on top of a
+    residual names a new one. The rows that hold one name when a level is
+    reached are alike after it, and merge there if the level's literals
+    give them more than one name. Each of those names was one class a
+    level up, so a state holds at most its lowest row: movers is the
+    bitset of those lowest rows other than the class's lowest, over every
+    merging class, and reps maps each of them to its class's lowest row's
+    bit.
+    """
+    # ints name the masks, tuples the residuals with literals
+    names: dict = {}
+    name = [names.setdefault(mask, len(names)) for mask in masks]
+    members: dict[int, int] = {}
+    for i, c in enumerate(name):
+        members[c] = members.get(c, 0) | (1 << i)
+    merges: dict[int, tuple[int, dict[int, int]]] = {}
+    for level in reversed(levels):
+        # the rows of each joined name by their literal at this level
+        joined: dict[int, list[int]] = {}
+        for i, b in at[level]:
+            c = name[i]
+            bit = 1 << i
+            name[i] = new = names.setdefault((c, level, b), len(names))
+            members[new] = members.get(new, 0) | bit
+            members[c] ^= bit
+            joined.setdefault(c, [0, 0])[b] |= bit
+        movers, reps = 0, {}
+        for c, parts in joined.items():
+            # a state holds at most the lowest row of each part
+            lows = [bits & -bits for bits in (members[c], *parts) if bits]
+            if len(lows) < 2:
+                continue
+            rep = min(lows)
+            for bit in lows:
+                if bit != rep:
+                    movers |= bit
+                    reps[bit.bit_length() - 1] = rep
+        if movers:
+            merges[level] = (movers, reps)
+    return merges
 
 
 def _region_walk(
@@ -339,7 +470,7 @@ def pattern_counts(
     pattern's count. Patterns come in ascending mask order (_outputs).
     Raises ResourceLimitError when there are more than DEFAULT_PATTERN_CAP
     patterns. This is exact_mu_bdd's route for a list of Funcs; a Pla's
-    rows are counted on their row diagram (diagram_counts).
+    rows are counted by pla_counts.
     """
     levels = _levels(nodes, n)
     cap = DEFAULT_PATTERN_CAP
@@ -382,6 +513,11 @@ def _mask(terminals: tuple[int, ...]) -> int:
     for u in terminals:
         mask = (mask << 1) | u
     return mask
+
+
+def _row_mask(outs: frozenset[int], m: int) -> int:
+    """The mask of an output set: the inverse of _outputs."""
+    return sum(1 << (m - i) for i in outs)
 
 
 def _outputs(mask: int, m: int) -> frozenset[int]:

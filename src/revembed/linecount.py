@@ -10,18 +10,18 @@ n + m is the generic upper bound). Three routes are provided:
 * exact_mu_cube  -- disjoint rewriting first, then the same accumulation,
 * exact_mu_bdd   -- the partition of B^n by output pattern, without the
                     characteristic function chi(x, y): for a Pla, one
-                    weighted pass over the multi-terminal diagram of its
-                    rows, whose leaves are output masks and whose regions
-                    compact() writes out; for a list of Funcs, one
-                    top-down walk over the m output BDDs together.
+                    top-down pass over its rows as bitsets, whose states
+                    end at the OR of the output masks of the rows that
+                    cover an input; for a list of Funcs, one top-down
+                    walk over the m output BDDs together.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .bdd import Func, Manager
-from .dsop import diagram_counts, dsop, pattern_counts, row_diagram
+from .dsop import dsop, pattern_counts, pla_counts, row_counts
 from .pla import Pla, function_source
 
 METHOD_HEURISTIC_CUBE = "heuristic-cube"
@@ -102,18 +102,17 @@ def _cube_counts(cover: Pla) -> dict[frozenset[int], int]:
     the exact OFF-set size: 2^n less the size of the union of the rows
     that construct some output, which is the union of the m ON-sets. A
     dsop-certified cover's rows are pairwise disjoint, so that size is the
-    sum of their buckets and no diagram is built. Any other cover's rows
-    with outputs are joined into one row diagram that maps each of them to
-    the leaf of mask 1, so the background leaf's count is the OFF-set's."""
+    sum of their buckets and no walk runs. Any other cover's rows with
+    outputs are counted by dsop.row_counts with mask 1 each, so the count
+    of mask 0 is the OFF-set's."""
     per: dict[frozenset[int], int] = {}
     for cube, outs in cover.entries:
         per[outs] = per.get(outs, 0) + cube.on_size()
     if cover.dsop_certified:
         off_count = (1 << cover.n) - sum(count for outs, count in per.items() if outs)
     else:
-        rows = [(cube, frozenset()) for cube, outs in cover.entries if outs]
-        root, nodes = row_diagram(replace(cover, entries=rows), 1)
-        off_count = diagram_counts(root, nodes, cover.n, 0).get(frozenset(), 0)
+        rows = [(cube, 1) for cube, outs in cover.entries if outs]
+        off_count = row_counts(rows, cover.n).get(0, 0)
     # rows that construct nothing were accumulated like any other; replace
     # that estimate with the true OFF-set size, dropping it when f is total
     if off_count:
@@ -130,9 +129,11 @@ def exact_mu_bdd(
     that Wille, Keszocze and Drechsler (DATE 2011) read off chi(x, y) with
     the y levels on top, reached without building chi.
 
-    A Pla's rows are joined into dsop.row_diagram, whose leaves are output
-    masks, and dsop.diagram_counts reads the counts from one pass over its
-    nodes; no Manager is made. A list of Funcs is placed on a fresh manager
+    A Pla is counted by dsop.pla_counts: one top-down pass over its rows
+    as bitsets (dsop.row_counts), whose states are the OR of the output
+    masks of the rows settled on the path and the rows still live, and
+    which visits only the levels where some row has a literal; no Manager
+    and no diagram is made. A list of Funcs is placed on a fresh manager
     over the n inputs alone and counted by dsop.pattern_counts, one
     top-down walk over the product of the m output BDDs. Raises ValueError
     when n is given for a Pla and differs from pla.n, and
@@ -141,8 +142,7 @@ def exact_mu_bdd(
     """
     n, m, place = function_source(source, n)
     if isinstance(source, Pla):
-        root, nodes = row_diagram(source)
-        return _finish(METHOD_EXACT_BDD, True, diagram_counts(root, nodes, n, m), m)
+        return _finish(METHOD_EXACT_BDD, True, pla_counts(source), m)
     manager = Manager()
     xs = manager.add_vars("x%d" % (i + 1) for i in range(n))
     state = tuple(f.node for f in place(manager, xs))

@@ -14,6 +14,7 @@ from revembed import (
     cube_sharp,
     or_all,
 )
+from revembed.dsop import _outputs, row_diagram
 from revembed.embedding import _entry_steps, _entry_walk, _pattern_trie, _step_plan
 from revembed.pla import cover_union, function_source, to_functions
 
@@ -371,3 +372,30 @@ def reference_compact(pla: Pla) -> Pla:
         output_names=pla.output_names,
         dsop_certified=True,
     )
+
+
+def diagram_counts(pla: Pla) -> dict[frozenset[int], int]:
+    """{output set: input count} over B^n from pla's row diagram, the
+    reference for dsop.pla_counts: one pass over the diagram's nodes in
+    descending id order, parents before children, in which the root
+    weighs 2^n and each node hands half its weight to each child, so each
+    leaf ends with the count of its mask. Patterns come in ascending mask
+    order."""
+    root, nodes = row_diagram(pla)
+    leaves: dict[int, int] = {}
+    weight = [0] * (root + 1)
+    if root < 0:
+        leaves[root] = 1 << pla.n
+    else:
+        weight[root] = 1 << pla.n
+    # ids under the root that it does not reach keep weight 0
+    for u in range(root, -1, -1):
+        half = weight[u] >> 1
+        if half:
+            for child in nodes[u][1:]:
+                if child >= 0:
+                    weight[child] += half
+                else:
+                    leaves[child] = leaves.get(child, 0) + half
+    # the leaf ~k holds mask k, so descending ids are ascending masks
+    return {_outputs(~u, pla.m): leaves[u] for u in sorted(leaves, reverse=True)}

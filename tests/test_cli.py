@@ -201,9 +201,10 @@ class TestEmbed:
 
     def test_too_wide_for_the_recursion_exits_2(self, capsys, tmp_path, monkeypatch):
         # the interleaved Bennett order has two levels per line, so
-        # verify's quantification over chi passes the depth cap of the
-        # recursive BDD core at WIDTH_CEILING inputs; Python 3.10's cap
-        # and ceiling keep this run small
+        # verify's quantification over chi would pass the depth cap of the
+        # recursive BDD core at WIDTH_CEILING inputs, and the command exits
+        # before it builds chi; Python 3.10's cap and ceiling keep this
+        # run small
         monkeypatch.setattr(cli.bdd, "MAX_RECURSION", 40000)
         monkeypatch.setattr(cli.bdd, "WIDTH_CEILING", 20000)
         n = 20000
@@ -223,6 +224,58 @@ class TestEmbed:
         # the line names the width, not one command
         assert "depth cap of 40000 levels" in err
         assert "inputs past about 20000" in err
+
+    @pytest.mark.parametrize("mode", ["--bennett", "--exact"])
+    def test_too_deep_for_verify_exits_before_the_build(
+        self, capsys, tmp_path, monkeypatch, mode
+    ):
+        # a cap of 4000 levels is reached near 2000 inputs, where the
+        # relation has 2r of about 4000 levels
+        monkeypatch.setattr(cli.bdd, "MAX_RECURSION", 4000)
+        monkeypatch.setattr(cli.bdd, "WIDTH_CEILING", 2000)
+        build = "embed_bennett" if mode == "--bennett" else "embed_exact"
+        built = []
+        real = getattr(cli, build)
+        monkeypatch.setattr(cli, build, lambda pla: built.append(pla.n) or real(pla))
+        wide = tmp_path / "wide.pla"
+
+        def embed(n):
+            wide.write_text(two_cube_pla(n))
+            built.clear()
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(1000)
+            try:
+                return run(capsys, "embed", str(wide), mode, "--verify")
+            finally:
+                sys.setrecursionlimit(limit)
+
+        # the narrowest input refused before the build
+        lo, hi = 1500, 2000
+        while lo < hi:
+            mid = (lo + hi) // 2
+            code, _, _ = embed(mid)
+            if code == 2 and not built:
+                hi = mid
+            else:
+                lo = mid + 1
+        assert lo > 1900
+        code, out, err = embed(lo)
+        assert (code, out, built) == (2, "", [])
+        assert err.startswith("resource limit: input too wide")
+        assert "depth cap of 4000 levels" in err
+        # the check refuses no input that could run: without it, the same
+        # input is built and then fails in verify's recursion
+        check = cli._check_depth
+        monkeypatch.setattr(cli, "_check_depth", lambda r: None)
+        code, out, err = embed(lo)
+        assert (code, out, built) == (2, "", [lo])
+        assert err.startswith("resource limit: input too wide")
+        monkeypatch.setattr(cli, "_check_depth", check)
+        code, out, err = embed(lo - 1)
+        assert built == [lo - 1]
+        assert (code, err) == (0, "")
+        report = json.loads(out)["verify"]
+        assert report["injective"] and report["functional"] and report["projects"]
 
     @pytest.mark.skipif(
         sys.version_info < (3, 11), reason="the recursion cap is 40000 before 3.11"

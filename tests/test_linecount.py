@@ -2,6 +2,7 @@ import importlib
 import json
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -30,7 +31,8 @@ from revembed import (
     upper_bound_total,
 )
 
-from helpers import random_pla
+import revembed.cli as cli
+from helpers import diagram_counts, random_pla
 
 DSOP_MODULE = importlib.import_module("revembed.dsop")
 LINECOUNT_MODULE = importlib.import_module("revembed.linecount")
@@ -259,7 +261,7 @@ class TestAgreement:
     @given(n=st.integers(1, 8), m=st.integers(1, 4), data=st.data())
     def test_heuristic_off_set_on_a_row_diagram(self, n, m, data):
         # empty Plas, rows with no outputs and all-don't-care rows; the
-        # OFF-set is counted on a row diagram, with no Manager
+        # OFF-set is counted by the row walk, with no Manager
         texts = st.one_of(st.text("01--", min_size=n, max_size=n), st.just("-" * n))
         outs = st.frozensets(st.integers(1, m), max_size=m)
         rows = data.draw(st.lists(st.tuples(texts, outs), max_size=10))
@@ -284,7 +286,7 @@ class TestAgreement:
         rows = Pla(cover.n, cover.m, cover.entries)
         union = heuristic_mu(rows).per_pattern.get(frozenset())
         with mock.patch.object(
-            LINECOUNT_MODULE, "row_diagram", side_effect=AssertionError("diagram built")
+            LINECOUNT_MODULE, "row_counts", side_effect=AssertionError("rows walked")
         ):
             got = heuristic_mu(cover)
             exact = exact_mu_cube(pla)
@@ -318,3 +320,81 @@ class TestAgreement:
             rep = exact_mu_bdd(pla)
             assert sum(rep.per_pattern.values()) == 1 << pla.n
             assert pla.n - pla.m <= rep.ell <= pla.n
+
+
+@st.composite
+def shared_suffix_plas(draw, n, m):
+    """Plas over n inputs and m outputs whose rows end in one of a few
+    shared literal suffixes, with duplicate rows, rows with no outputs,
+    all-don't-care rows and no rows at all."""
+    suffixes = draw(st.lists(st.text("01-", max_size=n), min_size=1, max_size=3))
+
+    def ending_in(tail):
+        head = st.text("01--", min_size=n - len(tail), max_size=n - len(tail))
+        return head.map(lambda text: text + tail)
+
+    texts = st.one_of(
+        st.text("01--", min_size=n, max_size=n),
+        st.just("-" * n),
+        st.sampled_from(suffixes).flatmap(ending_in),
+    )
+    row = st.tuples(texts, st.frozensets(st.integers(1, m), max_size=m))
+    rows = draw(st.lists(row, max_size=14))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    return Pla(n, m, [(Cube.parse(text), o) for text, o in rows])
+
+
+def alike_rows(p: int) -> Pla:
+    """The p rows x_i & z over p + 1 inputs, all driving output 1."""
+    z = 1 << p
+    rows = [(Cube(p + 1, z | 1 << i, z | 1 << i), frozenset({1})) for i in range(p)]
+    return Pla(p + 1, 1, rows)
+
+
+class TestRowWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 9), m=st.integers(1, 3), data=st.data())
+    def test_counts_and_order_match_enumeration(self, n, m, data):
+        pla = data.draw(shared_suffix_plas(n, m))
+        got = exact_mu_bdd(pla).per_pattern
+        want = brute_mu(pla).per_pattern
+        assert got == want
+        # ascending masks: output 1 is the most significant bit
+        key = [[i in outs for i in range(1, m + 1)] for outs in got]
+        assert key == sorted(key)
+        assert heuristic_mu(pla).per_pattern.get(frozenset()) == want.get(frozenset())
+
+    @pytest.mark.parametrize(
+        "path", sorted(CORPUS.glob("*.pla")), ids=lambda path: path.stem
+    )
+    def test_corpus_matches_the_row_diagram(self, path):
+        pla = parse_pla(path.read_text())
+        got = DSOP_MODULE.pla_counts(pla)
+        assert list(got.items()) == list(diagram_counts(pla).items())
+
+    def test_pattern_cap_on_a_corpus_cover(self, monkeypatch, capsys):
+        path = CORPUS / "r20c40.pla"
+        pla = parse_pla(path.read_text())
+        count = len(exact_mu_bdd(pla).per_pattern)
+        monkeypatch.setattr(DSOP_MODULE, "DEFAULT_PATTERN_CAP", count)
+        assert len(exact_mu_bdd(pla).per_pattern) == count
+        monkeypatch.setattr(DSOP_MODULE, "DEFAULT_PATTERN_CAP", count - 1)
+        with pytest.raises(ResourceLimitError):
+            exact_mu_bdd(pla)
+        assert cli.main(["lines", str(path), "--method", "exact-bdd"]) == 2
+        assert capsys.readouterr().err.startswith("resource limit")
+
+    def test_alike_rows_are_merged(self):
+        # without the merge the walk holds 2^14 states here
+        pla = alike_rows(14)
+        for count in (exact_mu_bdd, heuristic_mu):
+            tracemalloc.start()
+            try:
+                report = count(pla)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, count.__name__
+            assert report.per_pattern[frozenset()] == (1 << 14) + 1
+        want = {(): (1 << 14) + 1, (1,): (1 << 14) - 1}
+        assert pattern_map(exact_mu_bdd(pla)) == want

@@ -10,7 +10,8 @@ inputs, plus the ``lines`` counts and the ``dsop --compact`` rewrite of
 the wider covers in ``WIDE_COVERS``, the checked Bennett relation of
 ``WIDE_DOT_COVER`` as dot, and the Bennett and exact embeddings and
 exact-bdd count of the benchmark's two-cube PLA with ``PAIR_INPUTS``
-inputs.
+inputs, and the ``lines`` counts and ``dsop --compact`` rewrite of a
+generated cover whose rows share literal suffixes (``suffix_pla``).
 For each command it prints one line: the exit code, the md5 of stdout, and
 the command. Two checkouts produce identical output exactly when every
 command exits the same way and writes the same bytes, ``--format dot`` node
@@ -38,6 +39,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 import shutil
 import subprocess
@@ -90,6 +92,16 @@ PAIR_FILE = [
     ["lines", "--method", "exact-bdd"],
 ]
 
+# rows that end in a few shared literal suffixes and share output sets:
+# the line counts' row walk merges the rows alike below a level
+SUFFIX_INPUTS, SUFFIX_ROWS, SUFFIX_SEED = 14, 40, 25
+SUFFIX_FILE = [
+    ["lines", "--method", "heuristic"],
+    ["lines", "--method", "exact-cube"],
+    ["lines", "--method", "exact-bdd"],
+    ["dsop", "--compact"],
+]
+
 GEN = [
     ["gen", "redundancy", "4", "3"],
     ["gen", "redundancy", "4", "3", "--embed"],
@@ -112,6 +124,23 @@ def _inputs(src: Path) -> list[Path]:
         if p.name not in names and _input_count(p) <= MAX_INPUTS
     ]
     return shipped + corpus
+
+
+def suffix_pla(n: int, rows: int, seed: int) -> str:
+    """PLA text of rows over n inputs and 3 outputs: each row is a random
+    head, a tail from four shared literal suffixes of 3 to 6 positions,
+    and one of four output sets, the empty one among them."""
+    rng = random.Random(seed)
+    tails = [
+        "".join(rng.choice("01-") for _ in range(rng.randint(3, 6)))
+        for _ in range(4)
+    ]
+    lines = []
+    for _ in range(rows):
+        tail = rng.choice(tails)
+        head = "".join(rng.choice("01--") for _ in range(n - len(tail)))
+        lines.append("%s%s %s" % (head, tail, rng.choice(["100", "010", "110", "000"])))
+    return ".i %d\n.o 3\n%s\n.e\n" % (n, "\n".join(lines))
 
 
 def _input_count(path: Path) -> int:
@@ -282,6 +311,9 @@ def main(argv=None) -> int:
         pair.parent.mkdir()
         pair.write_text(wide_pair(PAIR_INPUTS))
         jobs += [(cmd + [str(pair)], cmd + [pair.name]) for cmd in PAIR_FILE]
+        suffix = Path(tmp, "pair", "suffix%d.pla" % SUFFIX_ROWS)
+        suffix.write_text(suffix_pla(SUFFIX_INPUTS, SUFFIX_ROWS, SUFFIX_SEED))
+        jobs += [(cmd + [str(suffix)], cmd + [suffix.name]) for cmd in SUFFIX_FILE]
         for extra in ([], ["--ordering-study", "4", "--samples", "3"]):
             jobs.append((["bench", tmp, *extra], ["bench", "INPUTS", *extra]))
         for argv_, label in jobs:
