@@ -23,20 +23,29 @@ restrict, exists and transfer are one memoised walk, _rebuild, that copies
 a node table's nodes down to the deepest level with a rule, low child first.
 A rule moves its level to a target level (transfer), replaces it by its low
 or high child (restrict), or by the or of its children on the computed
-table (exists); a level without a rule stays as it is.
+table (exists); a level without a rule stays as it is. The walk reads the
+rules from a list indexed by level and looks each child up in its memo
+before it calls, so a memo hit costs no call.
 
 Counting helpers use Python integers throughout, so satisfying-assignment
-counts stay exact at thousands of variables. Counts and supports are read
-per call from one pass over the reachable nodes and never cached. sat_count
-runs the pass top-down, parents first, and weighs each node by the
-assignments above it that lead there (Knuth, TAOCP 4A 7.1.4, counts the
-same models bottom-up): a node hands its weight on to its children and
-drops it, so only the weights of the frontier are held, not a count per
-node. Managers are not thread-safe; confine each manager to one thread.
+counts stay exact at thousands of variables. Counts, sizes and supports are
+read per call and never cached, each from one downward scan of the node
+ids: _mk links a node only to older ones, so descending ids put parents
+before children. The scan starts at the root and holds no set of the
+reachable nodes and no sorted order. Its cost is linear in the span of ids
+from the root down to the deepest node the root reaches, so a root made
+long after the nodes it reaches pays for every id in between. sat_count
+weighs each node by the assignments above it that lead there (Knuth, TAOCP
+4A 7.1.4, counts the same models bottom-up): a node hands its weight on to
+its children and drops it, so only the weights of the frontier are held,
+not a count per node. dag_size and the support mark the reached ids in a
+byte per id. Managers are not thread-safe; confine each manager to one
+thread.
 """
 from __future__ import annotations
 
 import sys
+from itertools import compress
 from typing import Iterable, Iterator, Optional
 
 from .cube import Cube
@@ -404,15 +413,42 @@ class Manager:
         deepest ruled level; u itself when that level is above u's (always
         for a terminal, whose level is TERMINAL_LEVEL)."""
         if rules and src._nodes[u][0] <= max(rules):
+            deepest = max(rules)
+            # the walk reads a rule per level: a level without one stays
+            per_level = list(range(deepest + 1))
+            for level, rule in rules.items():
+                per_level[level] = rule
             nodes, unique, memo = self._nodes, self._unique, self._memo
-            u = _rebuild(u, rules, max(rules), src._nodes, nodes, unique, memo, {})
+            u = _rebuild(u, per_level, deepest, src._nodes, nodes, unique, memo, {})
         return Func(self, u)
 
     # ------------------------------------------------------------ analysis
 
+    def _marks(self, u: int) -> bytearray:
+        """A byte per id from 0 to u, 1 where u reaches the node.
+
+        _mk links a node only to older ones, so descending ids put parents
+        before children: one scan down from u marks each marked node's
+        children, and an unmarked id makes bytearray.rfind jump to the next
+        mark in C. The cost is linear in the span of ids from u down to the
+        deepest node it reaches, with one Python step per reachable node."""
+        nodes = self._nodes
+        mark = bytearray(u + 1)
+        mark[u] = 1
+        rfind = mark.rfind
+        x = u
+        while x >= 2:
+            _, lo, hi = nodes[x]
+            mark[lo] = mark[hi] = 1
+            x -= 1
+            if not mark[x]:
+                x = rfind(1, 2, x)
+        return mark
+
     def _levels(self, u: int) -> set[int]:
         """The support of u: the levels of its reachable non-terminals."""
-        return {self._nodes[x][0] for x in self._reachable(u) if x >= 2}
+        inner = compress(range(2, u + 1), memoryview(self._marks(u))[2:])
+        return {self._nodes[x][0] for x in inner}
 
     def support(self, f: Func) -> list[int]:
         return sorted(self._levels(self._check(f)))
@@ -425,30 +461,36 @@ class Manager:
 
         Exact arbitrary-precision count over any variable window of the
         given size that contains f's support (Knuth, TAOCP 4A 7.1.4), from
-        one top-down pass over f's reachable nodes per call, which also
-        collects the support (nothing is cached); errors when the window is
-        smaller than the support.
+        one top-down pass over f's nodes per call, which also collects the
+        support (nothing is cached); errors when the window is smaller than
+        the support.
 
         A node's weight is the number of assignments to the levels above it
         that lead to it: the root weighs 2^level, and a node hands its
         weight to each inner child shifted by the levels the edge skips, or
         adds it to the total over all levels when the edge reaches the
-        1-terminal. Each weight is dropped once handed on, so the weights
-        held at any time are those of the frontier, not of the graph.
+        1-terminal. The pass scans the ids down from the root, popping each
+        out of the frontier's weights, and stops once none is left. Each
+        weight is dropped once handed on, so only the frontier's weights
+        are held, and no set of the reachable nodes is built. The cost is
+        linear in the span of ids from the root down to the deepest node
+        it reaches: a root made long after the nodes below it (a count of
+        a quantified relation, say) pays for every id in between.
         """
         u = self._check(f)
         nodes, top = self._nodes, len(self._names)
-        # the reachable ids descend to the terminals, 1 and 0, and _mk links
-        # only to existing nodes, so parents come first
-        order = sorted(self._reachable(u), reverse=True)[:-2]
         weight = {u: 1 << nodes[u][0]} if u >= 2 else {}
         total = 1 << top if u == 1 else 0
         levels = set()
-        get, pop = weight.get, weight.pop
-        for x in order:
+        get, pop, add_level = weight.get, weight.pop, levels.add
+        # _mk links a node only to older ones, so descending ids put
+        # parents first; an id no weight reached is skipped
+        for x in range(u, 1, -1):
+            w = pop(x, None)
+            if w is None:
+                continue
             lvl, lo, hi = nodes[x]
-            levels.add(lvl)
-            w = pop(x)
+            add_level(lvl)
             if lo >= 2:
                 add = w << (nodes[lo][0] - lvl - 1)
                 got = get(lo)
@@ -461,6 +503,8 @@ class Manager:
                 weight[hi] = add if got is None else got + add
             elif hi:
                 total += w << (top - lvl - 1)
+            if not weight:
+                break
         if support_size < len(levels):
             raise ValueError(
                 "support_size %d is smaller than the support (%d variables)"
@@ -515,34 +559,21 @@ class Manager:
                 stack.append((lo, care | bit, value))
 
     def dag_size(self, f: Func) -> int:
-        """Reachable node count, terminals included."""
-        return len(self._reachable(self._check(f)))
-
-    def _reachable(self, u: int) -> set[int]:
-        if u < 2:
-            return {u}
-        # a non-constant function reaches both terminals
-        seen = {0, 1, u}
-        nodes = self._nodes
-        stack = [u]
-        while stack:
-            _, lo, hi = nodes[stack.pop()]
-            if lo not in seen:
-                seen.add(lo)
-                stack.append(lo)
-            if hi not in seen:
-                seen.add(hi)
-                stack.append(hi)
-        return seen
+        """Reachable node count, terminals included, from one downward scan
+        of the node ids (_marks): it holds a byte per id, and its cost is
+        linear in the span of ids from f's node down to the deepest node
+        f reaches."""
+        return self._marks(self._check(f)).count(1)
 
     # ----------------------------------------------------------------- dot
 
     def to_dot(self, f: Func, name: str = "bdd") -> str:
         """GraphViz text: dashed low edges, solid high edges."""
-        seen = self._reachable(self._check(f))
+        u = self._check(f)
+        seen = list(compress(range(u + 1), self._marks(u)))
         lines = ["digraph %s {" % name, "  rankdir=TB;"]
         per_level: dict[int, list[int]] = {}
-        for x in sorted(seen):
+        for x in seen:
             if x < 2:
                 lines.append('  n%d [label="%d", shape=box];' % (x, x))
             else:
@@ -554,7 +585,7 @@ class Manager:
         for lvl in sorted(per_level):
             members = "; ".join("n%d" % x for x in per_level[lvl])
             lines.append("  { rank=same; %s; }" % members)
-        for x in sorted(seen):
+        for x in seen:
             if x >= 2:
                 _, lo, hi = self._nodes[x]
                 lines.append("  n%d -> n%d [style=dashed];" % (x, lo))
@@ -670,7 +701,7 @@ _HIGH = -3
 
 def _rebuild(
     x: int,
-    rules: dict[int, int],
+    rules: list[int],
     deepest: int,
     src: list,
     nodes: list,
@@ -679,31 +710,47 @@ def _rebuild(
     memo: dict[int, int],
 ) -> int:
     """x, a non-terminal of the node list src at most deepest deep, rebuilt
-    on the given node, unique and computed tables by the rule of its level:
-    a target level moves the node there, _LOW and _HIGH replace it by that
-    child and _JOIN by the or of its children; a level without a rule stays.
-    Nodes below deepest are kept as they are, so src may belong to another
+    on the given node, unique and computed tables by rules[level]: a target
+    level moves the node there (its own level keeps it), _LOW and _HIGH
+    replace it by that child and _JOIN by the or of its children. Nodes
+    below deepest are kept as they are, so src may belong to another
     manager only when the rules cover the support. memo holds this walk's
-    results."""
-    out = memo.get(x)
-    if out is not None:
-        return out
+    results, and x is not in it: each caller looks a child up before it
+    calls, so a memo hit costs no call. A _JOIN whose children are a
+    terminal or equal is decided here; otherwise it is _and_or's, which
+    makes the same nodes and table entries as _and_or_top would."""
     lvl, lo, hi = src[x]
-    rule = rules.get(lvl)
-    if rule is None:
-        rule = lvl
-    elif rule < _JOIN:
+    rule = rules[lvl]
+    if rule < _JOIN:
         out = hi if rule == _HIGH else lo
         if out >= 2 and src[out][0] <= deepest:
-            out = _rebuild(out, rules, deepest, src, nodes, unique, table, memo)
+            got = memo.get(out)
+            if got is None:
+                got = _rebuild(out, rules, deepest, src, nodes, unique, table, memo)
+            out = got
         memo[x] = out
         return out
     if lo >= 2 and src[lo][0] <= deepest:
-        lo = _rebuild(lo, rules, deepest, src, nodes, unique, table, memo)
+        got = memo.get(lo)
+        if got is None:
+            got = _rebuild(lo, rules, deepest, src, nodes, unique, table, memo)
+        lo = got
     if hi >= 2 and src[hi][0] <= deepest:
-        hi = _rebuild(hi, rules, deepest, src, nodes, unique, table, memo)
+        got = memo.get(hi)
+        if got is None:
+            got = _rebuild(hi, rules, deepest, src, nodes, unique, table, memo)
+        hi = got
     if rule == _JOIN:
-        out = _and_or_top(lo, hi, 1, nodes, unique, table)
+        if lo < 2:
+            out = 1 if lo else hi
+        elif hi < 2:
+            out = 1 if hi else lo
+        elif lo == hi:
+            out = lo
+        elif lo < hi:
+            out = _and_or(lo, hi, 1, nodes, unique, table)
+        else:
+            out = _and_or(hi, lo, 1, nodes, unique, table)
     elif lo == hi:
         out = lo
     else:

@@ -183,25 +183,16 @@ def _emit(text: str, output):
         sys.stdout.write(text)
 
 
-def _emit_json(build, output=None):
-    """Write build()'s payload as JSON.
-
-    Counts grow like 2**n, past the 4300 digits Python converts between int
-    and str by default, so that cap is lifted while the payload is built
-    and written, and restored afterwards.
-    """
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        text = json.dumps(build(), indent=2) + "\n"
-    finally:
-        sys.set_int_max_str_digits(limit)
-    _emit(text, output)
+def _emit_json(payload, output=None):
+    """Write payload as JSON. Counts grow like 2**n, past the 4300 digits
+    Python converts between int and str by default; main() lifts that cap
+    while any call of it runs (_ProcessLimits)."""
+    _emit(json.dumps(payload, indent=2) + "\n", output)
 
 
 def _cmd_lines(args) -> int:
     report = LINE_METHODS[args.method](_read_pla(args.file))
-    _emit_json(report.to_dict)
+    _emit_json(report.to_dict())
     return EXIT_OK
 
 
@@ -238,7 +229,7 @@ def _cmd_embed(args) -> int:
     else:
         payload = {"mode": mode, **rcbdd.summary()}
         payload["verify"] = report.to_dict() if report else None
-        _emit_json(lambda: payload, args.output)
+        _emit_json(payload, args.output)
 
     if report is not None:
         needed = [report.injective, report.functional, report.projects]
@@ -250,17 +241,36 @@ def _cmd_embed(args) -> int:
     return EXIT_OK
 
 
+# frames by which _check_depth's bounds must clear the exact boundary
+# before it trusts them without a descent
+_DEPTH_MARGIN = 8
+
+
 def _check_depth(r: int) -> None:
     """ResourceLimitError, before any node is made, when embed --verify of
     a relation on r lines would pass bdd.MAX_RECURSION.
 
     verify's deepest walk takes one frame per level, 2r, and its deepest
-    frame lies 2r + 4 below its caller's. A descent to that depth, under
-    the limit the build will raise to, tells whether the walks fit: the
-    interpreter counts its own depth, with the calls that enter Python
-    from C, which a count of frames would miss.
+    frame lies 2r + 4 below its caller's: it fits when the interpreter's
+    depth here, plus the 2r + 3 frames of a descent from here, stays within
+    the limit the build will raise to. The interpreter counts its own
+    depth, with the calls that enter Python from C, so this thread's frames
+    bound it from below and the limit in force from above. Outside the band
+    between those bounds the answer is known; inside it, a descent to that
+    depth tells.
     """
+    floor, frame = 0, sys._getframe()
+    while frame is not None:
+        floor += 1
+        frame = frame.f_back
+    ceiling = sys.getrecursionlimit()
     bdd.raise_recursion_limit(2 * r)
+    # the deepest this frame may be for the descent to fit
+    room = sys.getrecursionlimit() - (2 * r + 3)
+    if floor > room + _DEPTH_MARGIN:
+        raise ResourceLimitError(_too_wide())
+    if ceiling + _DEPTH_MARGIN < room:
+        return
     try:
         _descend(2 * r + 2)
     except RecursionError:
@@ -294,7 +304,7 @@ def _cmd_gen(args) -> int:
     count = manager.sat_count(func, n)
     payload.update({"n": n, "node_count": func.dag_size()})
     embed = embed_bennett([func], n=n).summary() if args.embed else None
-    _emit_json(lambda: {**payload, "sat_count": str(count), "embed": embed})
+    _emit_json({**payload, "sat_count": str(count), "embed": embed})
     return EXIT_OK
 
 
@@ -318,57 +328,61 @@ def _cmd_bench(args) -> int:
             seconds[key] = round(time.monotonic() - t0, 6)
         measured.append((path.name, pla, reports, seconds))
 
-    def payload():
-        results = [
-            {
-                "file": name,
-                "n": p.n,
-                "m": p.m,
-                "cubes": p.cube_count(),
-                "upper_bound_total": upper_bound_total(p.n, p.m),
-                **{key: report.to_dict() for key, report in by_key.items()},
-                "seconds": secs,
-            }
-            for name, p, by_key, secs in measured
-        ]
-        return {"results": results, "ordering_study": study}
-
-    _emit_json(payload)
+    results = [
+        {
+            "file": name,
+            "n": p.n,
+            "m": p.m,
+            "cubes": p.cube_count(),
+            "upper_bound_total": upper_bound_total(p.n, p.m),
+            **{key: report.to_dict() for key, report in by_key.items()},
+            "seconds": secs,
+        }
+        for name, p, by_key, secs in measured
+    ]
+    _emit_json({"results": results, "ordering_study": study})
     return EXIT_OK
 
 
-class _RecursionLimit:
-    """Restores the recursion limit once no main() call is running.
+class _ProcessLimits:
+    """Lifts the int-to-str digit limit while any main() call runs, and
+    restores it and the recursion limit once none is running.
 
-    The commands raise the interpreter-wide limit for wide inputs
-    (bdd.raise_recursion_limit). main() calls may overlap on several
-    threads, so the limit the first of them found is put back when the
-    last of them returns, and never under a call still running.
+    Both limits belong to the whole interpreter. The commands raise the
+    recursion limit for wide inputs (bdd.raise_recursion_limit), and counts
+    grow like 2**n, past the 4300 digits Python converts between int and
+    str by default. main() calls may overlap on several threads, so the
+    first of them to enter saves both limits and lifts the digit limit, and
+    the last to return puts both back: no call changes either limit under
+    another call still running.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._active = 0
-        self._saved = 0
+        self._saved = (0, 0)
 
     def __enter__(self):
         with self._lock:
             if not self._active:
-                self._saved = sys.getrecursionlimit()
+                self._saved = (sys.getrecursionlimit(), sys.get_int_max_str_digits())
+                sys.set_int_max_str_digits(0)
             self._active += 1
 
     def __exit__(self, *exc_info):
         with self._lock:
             self._active -= 1
             if not self._active:
-                sys.setrecursionlimit(self._saved)
+                recursion, digits = self._saved
+                sys.setrecursionlimit(recursion)
+                sys.set_int_max_str_digits(digits)
 
 
-_RECURSION_LIMIT = _RecursionLimit()
+_PROCESS_LIMITS = _ProcessLimits()
 
 
 def main(argv=None) -> int:
-    with _RECURSION_LIMIT:
+    with _PROCESS_LIMITS:
         return _main(argv)
 
 

@@ -9,8 +9,8 @@ this interleaving is what keeps chi_g of a reversible function small.
 
 embed_exact assigns garbage values cube by cube: the points of a cube take
 the next #on(c) consecutive values of their output pattern's garbage word,
-gamma = offset + rank(x). chi is built through the manager's node
-constructor alone, with no | and no node outside chi. Each output
+gamma = offset + rank(x). chi is built node by node on the manager's
+node and unique tables, with no | and no node outside chi. Each output
 pattern's x/g region is one memoised walk down the x/g levels whose state
 is the set of the pattern's entries still live, each with its residual
 offset + rank - gamma over the bits read so far; a point's word is right
@@ -181,55 +181,96 @@ def _entry_steps(plan: list[tuple[int, int]], cube: Cube, offset: int) -> list:
     return steps
 
 
-def _entry_walk(k: int, owed: int, steps: list, mk, memo: dict) -> int:
-    """The node of an entry's x/g block from steps[k] down. owed is the
-    offset bits read, plus the rank bits read, less the garbage bits
-    read, shifted right past the min(rank bits read, garbage bits read)
-    low bits already settled at 0, so it stays small; the word is right
-    when owed ends at 0. The shift depends only on k: the memo key is
-    (k, owed). One frame per level."""
+def _walk_memos(steps: list) -> list[dict]:
+    """A fresh _entry_walk memo for an entry's steps: one dict per level,
+    and below the last the word that is right, owed = 0, as the 1-node."""
+    return [{} for _ in steps] + [{0: 1}]
+
+
+def _entry_walk(
+    k: int, owed: int, steps: list, memos: list, nodes: list, unique: dict
+) -> int:
+    """The node of an entry's x/g block from steps[k] down, made on the
+    given node and unique tables. owed is the offset bits read, plus the
+    rank bits read, less the garbage bits read, shifted right past the
+    min(rank bits read, garbage bits read) low bits already settled at 0,
+    so it stays small; the word is right when owed ends at 0. The shift
+    depends only on k, so memos[k] (from _walk_memos) maps owed to its
+    node. The caller looks owed up in memos[k] first, so a memo hit costs
+    no call; this is called only for a miss, which past the last level is
+    a wrong word. One frame per level."""
     if k == len(steps):
-        return 1 if owed == 0 else 0
-    key = (k, owed)
-    got = memo.get(key)
-    if got is not None:
-        return got
+        return 0
     level, lo, hi, shift, mask = steps[k]
+    below = memos[k + 1]
     # a branch lives when the bit it settles is 0 and -owed misses mask
-    if lo is not None:
+    if lo is None:
+        lo = 0
+    else:
         lo += owed
-        lo = 0 if lo & shift or -(lo >> shift) & mask else _entry_walk(
-            k + 1, lo >> shift, steps, mk, memo
-        )
-    if hi is not None:
+        if lo & shift or -(lo >> shift) & mask:
+            lo = 0
+        else:
+            lo >>= shift
+            got = below.get(lo)
+            if got is None:
+                got = _entry_walk(k + 1, lo, steps, memos, nodes, unique)
+            lo = got
+    if hi is None:
+        hi = 0
+    else:
         hi += owed
-        hi = 0 if hi & shift or -(hi >> shift) & mask else _entry_walk(
-            k + 1, hi >> shift, steps, mk, memo
-        )
-    memo[key] = got = mk(level, lo or 0, hi or 0)
-    return got
+        if hi & shift or -(hi >> shift) & mask:
+            hi = 0
+        else:
+            hi >>= shift
+            got = below.get(hi)
+            if got is None:
+                got = _entry_walk(k + 1, hi, steps, memos, nodes, unique)
+            hi = got
+    if lo == hi:
+        out = lo
+    else:
+        node = (level, lo, hi)
+        out = unique.get(node)
+        if out is None:
+            out = len(nodes)
+            nodes.append(node)
+            unique[node] = out
+    memos[k][owed] = out
+    return out
 
 
 def _pattern_walk(
-    k: int, state: tuple, steps: list, mk, memos: list, memo: dict
+    k: int,
+    state: tuple,
+    steps: list,
+    memos: list,
+    walked: list,
+    nodes: list,
+    unique: dict,
 ) -> int:
-    """The node of one pattern's x/g region from level k down: the union
-    of its entries' blocks, each from its residual. state is the flat
-    tuple (e0, owed0, e1, owed1, ...) of the entries still live, in entry
-    order, with their _entry_walk residuals; steps[e] and memos[e] are
-    entry e's steps and walk memo. Each entry advances by its own step
-    with _entry_walk's prune, and a branch where none lives is 0. Once one
-    entry is live, its _entry_walk takes over, so a state is never walked
-    twice for one entry. No state of two entries reaches the bottom: the
-    prune keeps only owed = 0 past the last level, and the running offsets
-    give entries of one pattern disjoint words, even where cubes overlap.
-    The memo key is (k, state); one frame per level.
+    """The node of one pattern's x/g region from level k down, made on the
+    given node and unique tables: the union of its entries' blocks, each
+    from its residual. state is the flat tuple (e0, owed0, e1, owed1, ...)
+    of the entries still live, in entry order, with their _entry_walk
+    residuals; steps[e] and memos[e] are entry e's steps and walk memo.
+    Each entry advances by its own step with _entry_walk's prune, and a
+    branch where none lives is 0. Once one entry is live, its _entry_walk
+    takes over, so a state is never walked twice for one entry. No state
+    of two entries reaches the bottom: the prune keeps only owed = 0 past
+    the last level, and the running offsets give entries of one pattern
+    disjoint words, even where cubes overlap. walked[k] maps the states
+    of level k to their nodes; one frame per level.
     """
     if len(state) == 2:
-        e = state[0]
-        return _entry_walk(k, state[1], steps[e], mk, memos[e])
-    key = (k, state)
-    got = memo.get(key)
+        e, owed = state
+        got = memos[e][k].get(owed)
+        if got is None:
+            got = _entry_walk(k, owed, steps[e], memos[e], nodes, unique)
+        return got
+    memo = walked[k]
+    got = memo.get(state)
     if got is not None:
         return got
     lows: list[int] = []
@@ -245,9 +286,21 @@ def _pattern_walk(
             hi += owed
             if not (hi & shift or -(hi >> shift) & mask):
                 highs += (e, hi >> shift)
-    lo = _pattern_walk(k + 1, tuple(lows), steps, mk, memos, memo) if lows else 0
-    hi = _pattern_walk(k + 1, tuple(highs), steps, mk, memos, memo) if highs else 0
-    memo[key] = got = mk(level, lo, hi)
+    lo = hi = 0
+    if lows:
+        lo = _pattern_walk(k + 1, tuple(lows), steps, memos, walked, nodes, unique)
+    if highs:
+        hi = _pattern_walk(k + 1, tuple(highs), steps, memos, walked, nodes, unique)
+    if lo == hi:
+        got = lo
+    else:
+        node = (level, lo, hi)
+        got = unique.get(node)
+        if got is None:
+            got = len(nodes)
+            nodes.append(node)
+            unique[node] = got
+    memo[state] = got
     return got
 
 
@@ -266,10 +319,12 @@ def embed_exact(pla: Pla) -> RcBdd:
     order the patterns first appear; each pattern's x/g region is one
     memoised walk (_pattern_walk) over the residuals of its live entries,
     which hands off to _entry_walk once a single entry is live, and
-    _pattern_trie puts kappa = 0 and the y levels on top. Every node is
-    made once through the manager's node constructor, so the manager ends
-    with chi's nodes and no others. The x/g level order is sorted once per
-    embedding (_step_plan); each entry's steps read its cube's masks in it.
+    _pattern_trie puts kappa = 0 and the y levels on top. The two walks
+    make their nodes inline on the manager's node and unique tables, as
+    _mk would, and keep a memo per level; every node is made once, so the
+    manager ends with chi's nodes and no others. The x/g level order is
+    sorted once per embedding (_step_plan); each entry's steps read its
+    cube's masks in it.
     """
     if not pla.dsop_certified:
         raise ValueError("embed_exact needs a dsop-certified Pla")
@@ -294,20 +349,24 @@ def embed_exact(pla: Pla) -> RcBdd:
             raise AssertionError("garbage block overran mu")
         trace.append((outs, cnt[outs]))
         groups.setdefault(outs, []).append((cube, offset))
-    mk = manager._mk
+    nodes, unique = manager._nodes, manager._unique
     plan = _step_plan(xs, gammas)
     regions = []
     for outs, members in groups.items():
         steps = [_entry_steps(plan, cube, offset) for cube, offset in members]
+        memos = [_walk_memos(entry) for entry in steps]
+        # a lone entry's walk takes over at once and needs no state memo
+        walked = [{} for _ in plan] if len(steps) > 1 else []
         state = tuple(x for e in range(len(steps)) for x in (e, 0))
-        node = _pattern_walk(0, state, steps, mk, [{} for _ in steps], {})
+        node = _pattern_walk(0, state, steps, memos, walked, nodes, unique)
         regions.append((outs, node))
-        # one pattern's steps at a time: a 20,000-input entry's hold 3.7 MB
-        del steps
+        # one pattern's steps and memos at a time: a 20,000-input entry's
+        # steps alone hold 3.7 MB
+        del steps, memos, walked
     # the kappa and y levels, top down, as (level, output index); kappa gets
     # index 0, which no pattern holds
     top = sorted([(v, 0) for v in kappa] + [(v, i + 1) for i, v in enumerate(ys)])
-    chi = Func(manager, _pattern_trie(0, regions, top, mk))
+    chi = Func(manager, _pattern_trie(0, regions, top, manager._mk))
     return RcBdd(
         manager=manager,
         chi=chi,

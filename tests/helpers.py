@@ -15,7 +15,13 @@ from revembed import (
     or_all,
 )
 from revembed.dsop import _outputs, row_diagram
-from revembed.embedding import _entry_steps, _entry_walk, _pattern_trie, _step_plan
+from revembed.embedding import (
+    _entry_steps,
+    _entry_walk,
+    _pattern_trie,
+    _step_plan,
+    _walk_memos,
+)
 from revembed.pla import cover_union, function_source, to_functions
 
 
@@ -105,6 +111,19 @@ def mk_rebuild(target: Manager, f: Func, move=None, fixed=None) -> Func:
     return Func(target, walk(f.node))
 
 
+def reachable(manager: Manager, u: int) -> set[int]:
+    """The ids node u reaches, itself and the terminals included, by a
+    plain depth-first search: the reference for the manager's scans."""
+    seen, stack = set(), [u]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            if x >= 2:
+                stack += manager._nodes[x][1:]
+    return seen
+
+
 def reference_sat_count(f: Func, support_size: int) -> int:
     """Manager.sat_count bottom-up, as Knuth (TAOCP 4A 7.1.4) counts: one
     ascending pass over f's reachable nodes that keeps every node's count
@@ -114,7 +133,7 @@ def reference_sat_count(f: Func, support_size: int) -> int:
     u, nodes, top = f.node, manager._nodes, manager.var_count()
     count = {0: 0, 1: 1}
     levels = set()
-    for x in sorted(manager._reachable(u))[2:]:
+    for x in sorted(reachable(manager, u))[2:]:
         lvl, lo, hi = nodes[x]
         levels.add(lvl)
         llo = nodes[lo][0] if lo >= 2 else top
@@ -247,10 +266,11 @@ def entry_builder(
     """
     top = sorted([(v, 0) for v in kappa] + [(v, i + 1) for i, v in enumerate(ys)])
     plan = _step_plan(xs, gammas)
-    mk = manager._mk
+    nodes, unique, mk = manager._nodes, manager._unique, manager._mk
 
     def build(cube: Cube, outs: frozenset[int], offset: int) -> Func:
-        node = _entry_walk(0, 0, _entry_steps(plan, cube, offset), mk, {})
+        steps = _entry_steps(plan, cube, offset)
+        node = _entry_walk(0, 0, steps, _walk_memos(steps), nodes, unique)
         return Func(manager, _pattern_trie(0, [(outs, node)], top, mk))
 
     return build

@@ -29,7 +29,13 @@ from revembed import (
 from revembed.bdd import MAX_RECURSION
 from revembed.oracle import table_from_func
 
-from helpers import cube_points, mk_rebuild, reference_sat_count, two_cube_pla
+from helpers import (
+    cube_points,
+    mk_rebuild,
+    reachable,
+    reference_sat_count,
+    two_cube_pla,
+)
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
@@ -431,7 +437,7 @@ class TestCounting:
         manager = f.manager
         top = manager.var_count()
         # the root, terminals and inner nodes drawn from f's reachable ones
-        inner = sorted(manager._reachable(f.node) - {0, 1})
+        inner = sorted(reachable(manager, f.node) - {0, 1})
         rng = random.Random(0)
         picks = [f, manager.true, manager.false]
         picks += [Func(manager, u) for u in rng.sample(inner, min(20, len(inner)))]
@@ -462,6 +468,51 @@ class TestCounting:
         # one y per x, and kappa free
         assert count == 1 << (n + 2)
         assert peak < 6 * 2**20
+
+    def test_scans_match_a_plain_search_on_late_roots(self):
+        # roots made after the relation sit above chi's ids and reach few
+        # of them, so the downward scans pass over many ids they skip
+        pla = dsop(complete_offset(corpus_pla("r14c8")))
+        rc = embed_exact(pla)
+        manager, chi = rc.manager, rc.chi
+        late = [
+            chi,
+            manager.exists(chi, rc.gammas),
+            manager.exists(chi, rc.kappa + rc.xs),
+            manager.restrict(chi, {rc.xs[0]: 1}),
+            manager.cube({x: i % 2 for i, x in enumerate(rc.xs)}),
+            manager.var(rc.gammas[-1]),
+            manager.true,
+            manager.false,
+        ]
+        assert min(g.node for g in late[1:5]) > chi.node
+        top = manager.var_count()
+        for g in late:
+            seen = reachable(manager, g.node)
+            levels = {manager._nodes[x][0] for x in seen if x >= 2}
+            assert g.dag_size() == len(seen)
+            assert g.support() == sorted(levels)
+            assert g.support_size() == len(levels)
+            for window in {len(levels), top, top + 3}:
+                assert manager.sat_count(g, window) == reference_sat_count(g, window)
+
+    def test_scans_hold_a_byte_per_id(self):
+        # r14c8's exact relation with offset has 35,311 nodes: a set of
+        # the reachable ids and its sorted list would take 2.5 MB of
+        # tracemalloc in each of sat_count and dag_size
+        rc = embed_exact(dsop(complete_offset(corpus_pla("r14c8"))))
+        manager, chi = rc.manager, rc.chi
+        peaks = []
+        for scan in (lambda: chi.sat_count(2 * rc.r), chi.dag_size):
+            tracemalloc.start()
+            try:
+                scan()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert chi.dag_size() == len(reachable(manager, chi.node))
+        assert peaks[0] < 0.5 * 2**20
+        assert peaks[1] < 0.1 * 2**20
 
     def test_enumerate_paths_partition(self, mgr):
         a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
@@ -789,17 +840,6 @@ def ite_exists(manager, f, levels):
     return Func(manager, walk(f.node)) if levels else f
 
 
-def plain_dfs(manager, u):
-    seen, stack = set(), [u]
-    while stack:
-        x = stack.pop()
-        if x not in seen:
-            seen.add(x)
-            if x >= 2:
-                stack += manager._nodes[x][1:]
-    return seen
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(exprs(NVARS), min_size=1, max_size=4),
@@ -821,7 +861,7 @@ def test_and_or_kernels_make_the_nodes_of_the_ite_core(nodes, levels):
     assert kernel._nodes == core._nodes
     assert kernel._memo.keys() == core._memo.keys()
     for f in fs + got:
-        assert kernel._reachable(f.node) == plain_dfs(kernel, f.node)
+        assert f.dag_size() == len(reachable(kernel, f.node))
     assert kernel.true.dag_size() == kernel.false.dag_size() == 1
 
 
@@ -856,3 +896,27 @@ def test_restrict_and_transfer_make_the_nodes_of_a_plain_recursion(
     ref = [mk_rebuild(plain_dst, h, move=move) for h in want]
     assert [h.node for h in moved] == [h.node for h in ref]
     assert walk_dst._nodes == plain_dst._nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(exprs(NVARS), min_size=1, max_size=6),
+    st.sets(st.integers(0, NVARS - 1)),
+)
+def test_scans_match_a_plain_search(nodes, levels):
+    # formulas built one after another on one manager, and their
+    # quantifications, so a later root spans ids it does not reach
+    manager = Manager()
+    names = ["x%d" % (i + 1) for i in range(NVARS)]
+    manager.add_vars(names)
+    fs = [build(manager, names, node) for node in nodes]
+    fs += [manager.exists(f, levels) for f in fs]
+    for g in fs + [manager.true, manager.false]:
+        seen = reachable(manager, g.node)
+        support = {manager._nodes[x][0] for x in seen if x >= 2}
+        assert g.dag_size() == len(seen)
+        assert g.support() == sorted(support)
+        for window in range(len(support), NVARS + 3):
+            assert manager.sat_count(g, window) == reference_sat_count(g, window)
+        dot = manager.to_dot(g)
+        assert {int(x) for x in re.findall(r"n(\d+) \[label", dot)} == seen

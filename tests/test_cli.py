@@ -614,17 +614,25 @@ class TestThreads:
     def run_at_once(self, tmp_path):
         """Run both jobs on two threads behind a barrier, each writing to
         its own file: redirect_stdout would be shared by both threads."""
-        start = threading.Barrier(len(self.JOBS))
+        return self.main_at_once(
+            {name: argv + [str(tmp_path / name)] for name, argv in self.JOBS.items()}
+        )
+
+    @staticmethod
+    def main_at_once(jobs):
+        """Run main() on each argv of jobs, one thread per job behind a
+        barrier, and return each job's exit code."""
+        start = threading.Barrier(len(jobs))
         codes = {}
 
         def job(name):
             start.wait()
             try:
-                codes[name] = cli.main(self.JOBS[name] + [str(tmp_path / name)])
+                codes[name] = cli.main(jobs[name])
             except Exception as exc:  # reported by the caller's assertion
                 codes[name] = exc
 
-        threads = [threading.Thread(target=job, args=(name,)) for name in self.JOBS]
+        threads = [threading.Thread(target=job, args=(name,)) for name in jobs]
         # short switches interleave the two more
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -664,3 +672,21 @@ class TestThreads:
             sys.setrecursionlimit(before)
         assert rounds == [{"A": 0, "B": 0}] * 5
         assert after == 1000
+
+    def test_overlapping_wide_counts_keep_the_digit_limit(self, capsys, tmp_path):
+        # each payload's mu has 4,816 digits, past the default limit of
+        # 4300 digits: one call must not put the limit back while the
+        # other still writes its count, nor save the other's lifted limit
+        wide = tmp_path / "wide.pla"
+        wide.write_text(two_cube_pla(16000))
+        argv = ["lines", str(wide), "--method", "exact-bdd"]
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            rounds = [self.main_at_once({"A": argv, "B": argv}) for _ in range(100)]
+            after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(digits)
+        capsys.readouterr()
+        assert rounds == [{"A": 0, "B": 0}] * 100
+        assert after == 4300

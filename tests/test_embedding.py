@@ -34,6 +34,7 @@ from revembed.embedding import (
     _entry_steps,
     _entry_walk,
     _step_plan,
+    _walk_memos,
 )
 
 from helpers import (
@@ -45,6 +46,7 @@ from helpers import (
     or_built_exact,
     pla_truth,
     random_pla,
+    reachable,
     reference_entry_steps,
     two_cube_pla,
 )
@@ -264,10 +266,12 @@ class TestEntryBuilder:
         for cube, outs in pla.entries:
             offset = offsets.get(outs, 0)
             offsets[outs] = offset + cube.on_size()
-            memo: dict = {}
             steps = _entry_steps(_step_plan(rc.xs, rc.gammas), cube, offset)
-            block = _entry_walk(0, 0, steps, rc.manager._mk, memo)
-            assert len(memo) <= 2 * rc.manager.dag_size(Func(rc.manager, block))
+            memos = _walk_memos(steps)
+            manager = rc.manager
+            block = _entry_walk(0, 0, steps, memos, manager._nodes, manager._unique)
+            states = sum(len(memo) for memo in memos)
+            assert states <= 2 * manager.dag_size(Func(manager, block))
 
 
 class TestVerify:
@@ -349,7 +353,7 @@ class TestVerify:
         manager, deepest = rc.manager, max(rc.kappa)
         above = [
             u
-            for u in manager._reachable(rc.chi.node)
+            for u in reachable(manager, rc.chi.node)
             if manager._nodes[u][0] <= deepest
         ]
         assert created <= len(walked) <= len(above) < rc.node_count() // 100

@@ -18,6 +18,12 @@ command exits the same way and writes the same bytes, ``--format dot`` node
 ids included. ``bench`` output has its wall-clock ``seconds`` fields dropped
 before hashing.
 
+The one-directory digest of the checkout's ``src`` on Python 3.11 is
+committed as ``tools/cli_digest_golden.txt``, and CI regenerates it and
+fails on any line that differs, raw dot md5s included. A change that
+alters an output on purpose regenerates the file in the same commit:
+``python3 tools/cli_digest.py src > tools/cli_digest_golden.txt``.
+
 With two directories it runs the one-directory digest of each tree in its
 own fresh interpreter, both at once, and prints only the commands whose
 lines differ: ``- `` before OLD_SRC's line and ``+ `` before NEW_SRC's, a
