@@ -51,11 +51,11 @@ from typing import Iterable, Iterator, Optional
 from .cube import Cube
 
 TERMINAL_LEVEL = sys.maxsize
-# add_vars and dsop's row diagram raise the interpreter's recursion limit
-# with their level count, up to this cap, which bounds the depth of the
-# recursive walks. Since Python 3.11 a call from Python to Python takes no
-# C stack frame, so the cap there is ten times the one that keeps 3.10's
-# C stack safe; a recursive generator would still take one per level, and
+# add_vars raises the interpreter's recursion limit with the manager's
+# level count, up to this cap, which bounds the depth of the recursive
+# walks. Since Python 3.11 a call from Python to Python takes no C stack
+# frame, so the cap there is ten times the one that keeps 3.10's C stack
+# safe; a recursive generator would still take one per level, and
 # tests/test_bdd.py checks that the package has none. WIDTH_CEILING is the
 # narrowest two-cube PLA whose embed --verify reaches the cap, as measured:
 # under 400,000, --bennett ran at 199,900 inputs and --exact at 199,990,

@@ -6,7 +6,8 @@ row or cell budget, a bench --ordering-study of more than
 embedding.MAX_STUDY_LINES = 16 lines, or an input too wide for the
 recursive BDD core, 3 a requested verification failed. embed --verify
 exits 2 for width before it builds the relation, once the relation's
-line count is known.
+line count is known; embed --exact --verify first checks the input
+count, a lower bound of that line count, before it builds the cover.
 
 The --timeout budget is a SIGALRM timer, so main() enforces it only when
 called on the main thread; called from any other thread it runs unbounded.
@@ -208,6 +209,10 @@ def _cmd_embed(args) -> int:
     if args.with_offset and args.bennett:
         raise _UsageError("--with-offset only applies to --exact")
     if args.exact:
+        if args.verify:
+            # r = n + p >= n, and the check is monotone in r: refuse what
+            # n alone rules out before the cover is built
+            _check_depth(pla.n)
         prepared = complete_offset(pla) if args.with_offset else pla
         cover = dsop(prepared)
         if args.verify:

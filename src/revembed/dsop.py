@@ -23,16 +23,18 @@ of the rows settled on the path and the rows still live; it visits only
 the levels where some row has a literal, and merges the rows whose
 residual literals and masks are equal, so no diagram is built.
 compact() needs each pattern's region as a canonical BDD, so it reads
-them off the row diagram: a multi-terminal decision diagram (the ADD/MTBDD
-of Bahar et al., ICCAD 1993) over the inputs whose leaves are output
-masks, built by one balanced OR of one chain per row (row_diagram), with
-a covered bit above the outputs. One memoised bottom-up walk over the
-diagram builds the regions, and compact() writes a smaller disjoint cover
-without running dsop(), one cube per root-to-1 path of each region;
-post_compact() is the same rewrite for a Pla that dsop() has already
-certified. pattern_counts() counts the patterns of a tuple of BDDs by
-walking their product top-down, exact_mu_bdd()'s route for a list of
-Funcs.
+them off the row diagram (row_diagram): a BDD on a Manager over the
+inputs and, below them, a covered bit and the outputs, which ANDs one
+term per row, not cube or the AND of the row's mask bits. Above the mask
+levels it is the multi-terminal decision diagram (the ADD/MTBDD of Bahar
+et al., ICCAD 1993) over the inputs whose leaves are the OR of the
+covering rows' masks, each leaf an AND chain of mask bits. One memoised
+bottom-up walk over the diagram builds the regions, and compact() writes
+a smaller disjoint cover without running dsop(), one cube per root-to-1
+path of each region; post_compact() is the same rewrite for a Pla that
+dsop() has already certified. pattern_counts() counts the patterns of a
+tuple of BDDs by walking their product top-down, exact_mu_bdd()'s route
+for a list of Funcs.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Callable
 
-from .bdd import Manager, raise_recursion_limit
+from .bdd import Manager, _and_or_top
 from .cube import Cube, bit_positions, cube_and, cube_sharp
 from .errors import ResourceLimitError
 from .pla import Pla
@@ -120,16 +122,16 @@ def compact(pla: Pla) -> Pla:
     a node of the row diagram reaches more than DEFAULT_PATTERN_CAP
     patterns.
     """
-    # the covered bit sits above the outputs, so every covered input's leaf
-    # is nonzero, even under a row with no outputs
-    covered = 1 << pla.m
-    root, nodes = row_diagram(pla, covered)
+    # the diagram's manager is gone once row_diagram returns: the walk
+    # reads only its node list
+    root, nodes = row_diagram(pla)
     manager = Manager()
     manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
-    # the background leaf, -1, is the uncovered inputs: no region
-    memo: dict[int, dict[int, int]] = {-1: {}}
-    regions = _region_walk(root, nodes, manager._mk, memo, DEFAULT_PATTERN_CAP)
-    by_outs = {_outputs(mask ^ covered, pla.m): u for mask, u in regions.items()}
+    # the 1-terminal is the uncovered inputs: no region
+    memo: dict[int, dict[int, int]] = {1: {}}
+    regions = _region_walk(root, nodes, pla.n, manager._mk, memo, DEFAULT_PATTERN_CAP)
+    # bit 0 of a mask is the covered bit, and bit i output i
+    by_outs = {frozenset(bit_positions(mask & ~1)): u for mask, u in regions.items()}
     entries: list[tuple[Cube, frozenset[int]]] = []
     # every level is an input, so the paths need no support check
     for outs in sorted(by_outs, key=lambda o: tuple(sorted(o))):
@@ -137,120 +139,55 @@ def compact(pla: Pla) -> Pla:
     return replace(pla, entries=entries, dsop_certified=True)
 
 
-# The row diagram is a multi-terminal decision diagram (the ADD/MTBDD of
-# Bahar et al., ICCAD 1993) over the inputs, levels 0..n-1, whose leaves are
-# output masks. An inner node is an index into a node list of (level, low,
-# high) triples, made unique by a table keyed on that triple; the leaf of
-# mask k is the negative id ~k, so the background leaf of mask 0 is -1 and
-# every other id below 0 is a leaf.
+def row_diagram(pla: Pla) -> tuple[int, list[tuple[int, int, int]]]:
+    """(root, nodes) of the row diagram, built on a fresh Manager whose
+    node list is returned and whose tables are dropped.
 
-
-def row_diagram(pla: Pla, cover: int = 0) -> tuple[int, list[tuple[int, int, int]]]:
-    """(root, nodes) of the diagram that maps each input to the OR of the
-    masks of the rows whose cubes cover it, or -1 for none.
-
-    A row's mask is cover | its outputs' bits, output 1 the most
-    significant of m (_outputs). Each row becomes a chain over its literals
-    that ends in its mask's leaf, and the chains are joined by a balanced
-    OR whose leaf case is the bitwise OR of the two masks (_or_rows).
+    The inputs are levels 0..n-1, and below them lie the mask bits: the
+    covered bit at level n and output i at level n + i. A row is the term
+    not cube or the AND of its mask bits, the covered bit among them, and
+    the diagram is the AND of the rows' terms, by the balanced pairing of
+    bdd.and_all on the manager's kernel. The first node an input reaches
+    at a level of n or more is its leaf: the 1-terminal when no row covers
+    the input, and otherwise the AND chain of the mask bits of the rows
+    that cover it, so the part above level n is the multi-terminal diagram
+    (Bahar et al., ICCAD 1993) whose leaves are the OR of those rows'
+    masks. The row chains are made inline, as Manager._mk would.
     """
-    raise_recursion_limit(pla.n)
-    nodes: list[tuple[int, int, int]] = []
-    unique: dict[tuple[int, int, int], int] = {}
+    n = pla.n
+    manager = Manager()
+    manager.add_vars([None] * (n + 1 + pla.m))
+    nodes, unique = manager._nodes, manager._unique
+    masks: dict[frozenset[int], int] = {}
     work = []
     for cube, outs in pla.entries:
-        u = ~(cover | _row_mask(outs, pla.m))
-        if u == -1:  # the background: the row adds nothing
-            continue
+        u = masks.get(outs)
+        if u is None:
+            u = 1
+            for i in sorted(outs, reverse=True):
+                u = manager._mk(n + i, 0, u)
+            u = masks[outs] = manager._mk(n, 0, u)
         care, value = cube.care, cube.value
         while care:
             pos = care.bit_length() - 1
             care ^= 1 << pos
-            node = (pos, -1, u) if (value >> pos) & 1 else (pos, u, -1)
+            node = (pos, 1, u) if (value >> pos) & 1 else (pos, u, 1)
             u = unique.get(node)
             if u is None:
                 u = len(nodes)
                 nodes.append(node)
                 unique[node] = u
         work.append(u)
-    memo: dict[tuple[int, int], int] = {}
+    memo = manager._memo
     while len(work) > 1:
         nxt = [
-            _join(work[i], work[i + 1], nodes, unique, memo)
+            _and_or_top(work[i], work[i + 1], 0, nodes, unique, memo)
             for i in range(0, len(work) - 1, 2)
         ]
         if len(work) % 2:
             nxt.append(work[-1])
         work = nxt
-    return (work[0] if work else -1), nodes
-
-
-def _join(u: int, v: int, nodes: list, unique: dict, memo: dict) -> int:
-    """Node of u or v on the diagram's node, unique and memo tables."""
-    if u == v or v == -1:
-        return u
-    if u == -1:
-        return v
-    if u < 0 and v < 0:
-        return u & v  # the leaves ~a and ~b join to ~(a | b) = ~a & ~b
-    if u < v:
-        return _or_rows(u, v, nodes, unique, memo)
-    return _or_rows(v, u, nodes, unique, memo)
-
-
-def _or_rows(u: int, v: int, nodes: list, unique: dict, memo: dict) -> int:
-    """u or v for u < v with v an inner node, so u is an inner node or a
-    leaf other than the background.
-
-    As bdd._and_or: the memo is keyed on (u, v), the low child is made
-    first, a pair of children that _join decides without a call is decided
-    here, and the recursion is one frame per level.
-    """
-    key = (u, v)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    top, v0, v1 = nodes[v]
-    if u < 0:
-        u0 = u1 = u
-    else:
-        lu, u0, u1 = nodes[u]
-        if lu < top:
-            top = lu
-            v0 = v1 = v
-        elif top < lu:
-            u0 = u1 = u
-    if u0 == v0 or v0 == -1:
-        lo = u0
-    elif u0 == -1:
-        lo = v0
-    elif u0 < 0 and v0 < 0:
-        lo = u0 & v0
-    elif u0 < v0:
-        lo = _or_rows(u0, v0, nodes, unique, memo)
-    else:
-        lo = _or_rows(v0, u0, nodes, unique, memo)
-    if u1 == v1 or v1 == -1:
-        hi = u1
-    elif u1 == -1:
-        hi = v1
-    elif u1 < 0 and v1 < 0:
-        hi = u1 & v1
-    elif u1 < v1:
-        hi = _or_rows(u1, v1, nodes, unique, memo)
-    else:
-        hi = _or_rows(v1, u1, nodes, unique, memo)
-    if lo == hi:
-        out = lo
-    else:
-        node = (top, lo, hi)
-        out = unique.get(node)
-        if out is None:
-            out = len(nodes)
-            nodes.append(node)
-            unique[node] = out
-    memo[key] = out
-    return out
+    return (work[0] if work else 1), nodes
 
 
 def pla_counts(pla: Pla) -> dict[frozenset[int], int]:
@@ -423,25 +360,32 @@ def _merges(
 def _region_walk(
     u: int,
     nodes: list[tuple[int, int, int]],
+    n: int,
     mk: Callable[[int, int, int], int],
     memo: dict[int, dict[int, int]],
     cap: int,
 ) -> dict[int, int]:
-    """{leaf mask: region node} under diagram node u: the inputs below u
-    that reach that leaf, built bottom-up on mk's manager, whose levels
-    are the diagram's. A leaf's mask has the region 1, and a node's region
-    for a mask joins its children's regions with mk, a mask missing from a
-    child giving 0 there. The recursion is one frame per level.
+    """{leaf mask: region node} under row diagram node u: the inputs below
+    u that reach that leaf, built bottom-up on mk's manager, whose levels
+    are the diagram's inputs, 0..n-1. A node at level n or more is a leaf,
+    whose mask sets bit level - n for each level on its chain of high
+    edges and whose region is 1; a node's region for a mask joins its
+    children's regions with mk, a mask missing from a child giving 0
+    there. The recursion is one frame per level.
     """
     got = memo.get(u)
     if got is not None:
         return got
-    if u < 0:
-        regions = {~u: 1}
+    top, lo, hi = nodes[u]
+    if top >= n:
+        mask, x = 1 << (top - n), hi
+        while x != 1:
+            level, _, x = nodes[x]
+            mask |= 1 << (level - n)
+        regions = {mask: 1}
     else:
-        top, lo, hi = nodes[u]
-        low = _region_walk(lo, nodes, mk, memo, cap)
-        high = _region_walk(hi, nodes, mk, memo, cap)
+        low = _region_walk(lo, nodes, n, mk, memo, cap)
+        high = _region_walk(hi, nodes, n, mk, memo, cap)
         regions = {mask: mk(top, r, high.get(mask, 0)) for mask, r in low.items()}
         for mask, r in high.items():
             if mask not in low:

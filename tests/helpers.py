@@ -398,24 +398,33 @@ def diagram_counts(pla: Pla) -> dict[frozenset[int], int]:
     """{output set: input count} over B^n from pla's row diagram, the
     reference for dsop.pla_counts: one pass over the diagram's nodes in
     descending id order, parents before children, in which the root
-    weighs 2^n and each node hands half its weight to each child, so each
-    leaf ends with the count of its mask. Patterns come in ascending mask
-    order."""
+    weighs 2^n and each node at an input level hands half its weight to
+    each child. A leaf is the first node at level n or more, so each leaf
+    ends with the count of the inputs that reach it. Its mask is read off
+    its chain of high edges with the covered bit, level n, masked off, so
+    the uncovered inputs, whose leaf is the 1-terminal, and the inputs
+    covered only by rows with no outputs add up to the empty pattern.
+    Patterns come in pla_counts' ascending mask order (_outputs)."""
+    n, m = pla.n, pla.m
     root, nodes = row_diagram(pla)
-    leaves: dict[int, int] = {}
     weight = [0] * (root + 1)
-    if root < 0:
-        leaves[root] = 1 << pla.n
-    else:
-        weight[root] = 1 << pla.n
+    weight[root] = 1 << n
+    leaves: dict[int, int] = {}
     # ids under the root that it does not reach keep weight 0
-    for u in range(root, -1, -1):
-        half = weight[u] >> 1
-        if half:
-            for child in nodes[u][1:]:
-                if child >= 0:
-                    weight[child] += half
-                else:
-                    leaves[child] = leaves.get(child, 0) + half
-    # the leaf ~k holds mask k, so descending ids are ascending masks
-    return {_outputs(~u, pla.m): leaves[u] for u in sorted(leaves, reverse=True)}
+    for u in range(root, 0, -1):
+        w = weight[u]
+        if not w:
+            continue
+        level, lo, hi = nodes[u]
+        if level < n:
+            weight[lo] += w >> 1
+            weight[hi] += w >> 1
+            continue
+        mask, x = 0, u
+        while x != 1:
+            level, _, x = nodes[x]
+            # output i, at level n + i, is bit m - i of the mask
+            if level > n:
+                mask |= 1 << (n + m - level)
+        leaves[mask] = leaves.get(mask, 0) + w
+    return {_outputs(k, m): leaves[k] for k in sorted(leaves)}

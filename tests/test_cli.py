@@ -277,6 +277,26 @@ class TestEmbed:
         report = json.loads(out)["verify"]
         assert report["injective"] and report["functional"] and report["projects"]
 
+    def test_too_wide_exact_verify_exits_before_dsop(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the exact relation has r >= n lines, so an input whose 2n levels
+        # alone pass the cap of 4000 is refused before the cover is built
+        monkeypatch.setattr(cli.bdd, "MAX_RECURSION", 4000)
+        monkeypatch.setattr(cli.bdd, "WIDTH_CEILING", 2000)
+        rewritten = []
+        monkeypatch.setattr(cli, "dsop", lambda pla: rewritten.append(pla.n))
+        wide = tmp_path / "wide.pla"
+        wide.write_text(two_cube_pla(2100))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code, out, err = run(capsys, "embed", str(wide), "--exact", "--verify")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (code, out, rewritten) == (2, "", [])
+        assert err.startswith("resource limit: input too wide")
+
     @pytest.mark.skipif(
         sys.version_info < (3, 11), reason="the recursion cap is 40000 before 3.11"
     )

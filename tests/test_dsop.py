@@ -2,12 +2,14 @@ import importlib
 import itertools
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from revembed import (
     Cube,
+    Manager,
     Pla,
     ResourceLimitError,
     brute_dsop_check,
@@ -17,6 +19,7 @@ from revembed import (
     data_path,
     dsop,
     parse_pla,
+    and_all,
     post_compact,
     write_pla,
 )
@@ -222,6 +225,34 @@ class TestCompact:
         # rows overlap, carry no outputs, repeat, or leave points uncovered
         pla = Pla(6, 3, [(Cube.parse(text), outs) for text, outs in rows])
         assert write_pla(compact(pla)) == write_pla(reference_compact(pla))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 6), m=st.integers(1, 3), data=st.data())
+    def test_row_diagram_is_the_and_of_the_row_terms(self, n, m, data):
+        # rows overlap, carry no outputs, repeat, or have no literals
+        texts = st.one_of(st.text("01--", min_size=n, max_size=n), st.just("-" * n))
+        outs = st.frozensets(st.integers(1, m), max_size=m)
+        rows = data.draw(st.lists(st.tuples(texts, outs), max_size=10))
+        pla = Pla(n, m, [(Cube.parse(text), o) for text, o in rows])
+        made = []
+
+        class Recording(Manager):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        with mock.patch.object(DSOP_MODULE, "Manager", Recording):
+            root, nodes = DSOP_MODULE.row_diagram(pla)
+        (manager,) = made
+        assert nodes is manager._nodes
+        # the covered bit is level n and output i level n + i; equal
+        # functions share a node, so the root is the node of the AND
+        terms = [
+            ~manager.from_cube(cube)
+            | and_all([manager.var(n + i) for i in sorted({0} | o)])
+            for cube, o in pla.entries
+        ]
+        assert and_all(terms, manager).node == root
 
     @pytest.mark.parametrize("name", ["r14c30", "r16c40"])
     def test_corpus_matches_the_product_of_bdds(self, name):

@@ -16,7 +16,10 @@ For each command it prints one line: the exit code, the md5 of stdout, and
 the command. Two checkouts produce identical output exactly when every
 command exits the same way and writes the same bytes, ``--format dot`` node
 ids included. ``bench`` output has its wall-clock ``seconds`` fields dropped
-before hashing.
+before hashing. ``commands()`` lists the commands without their inputs;
+``tests/test_cli_digest.py`` checks that they run every subcommand, option
+and option choice of the CLI but help, ``--timeout``, ``--seed`` and
+``-o/--output``.
 
 The one-directory digest of the checkout's ``src`` on Python 3.11 is
 committed as ``tools/cli_digest_golden.txt``, and CI regenerates it and
@@ -61,6 +64,7 @@ PER_FILE = [
     ["lines", "--method", "heuristic"],
     ["lines", "--method", "exact-cube"],
     ["lines", "--method", "exact-bdd"],
+    ["lines", "--method", "brute"],
     ["dsop"],
     ["dsop", "--compact"],
     *(
@@ -118,6 +122,22 @@ GEN = [
     ["gen", "rgs", "6", "--embed"],
     ["gen", "redundancy", "10", "10", "--format", "dot"],
 ]
+
+# the flags after ``bench DIR``, one command each
+BENCH = [[], ["--ordering-study", "4", "--samples", "3"]]
+
+
+def commands() -> list[list[str]]:
+    """Every digest command without its input file or directory."""
+    return [
+        *PER_FILE,
+        *WIDE_FILE,
+        WIDE_DOT,
+        *PAIR_FILE,
+        *SUFFIX_FILE,
+        *GEN,
+        *(["bench", *extra] for extra in BENCH),
+    ]
 
 
 def _inputs(src: Path) -> list[Path]:
@@ -320,7 +340,7 @@ def main(argv=None) -> int:
         suffix = Path(tmp, "pair", "suffix%d.pla" % SUFFIX_ROWS)
         suffix.write_text(suffix_pla(SUFFIX_INPUTS, SUFFIX_ROWS, SUFFIX_SEED))
         jobs += [(cmd + [str(suffix)], cmd + [suffix.name]) for cmd in SUFFIX_FILE]
-        for extra in ([], ["--ordering-study", "4", "--samples", "3"]):
+        for extra in BENCH:
             jobs.append((["bench", tmp, *extra], ["bench", "INPUTS", *extra]))
         for argv_, label in jobs:
             code, stdout = _run(cli_main, argv_)
