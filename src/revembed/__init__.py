@@ -38,7 +38,6 @@ from .linecount import (
     heuristic_mu,
     upper_bound_total,
 )
-from .oracle import brute_dsop_check, brute_mu, brute_verify
 from .pla import Pla, characteristic, parse_pla, to_functions, write_pla
 
 __version__ = "0.1.0"
@@ -87,6 +86,20 @@ __all__ = [
     "verify",
     "write_pla",
 ]
+
+
+# served by __getattr__, so that only their callers import numpy
+_ORACLE = ("brute_dsop_check", "brute_mu", "brute_verify")
+
+
+def __getattr__(name: str):
+    """The brute-force oracle's entry points, imported on first use (PEP
+    562): the oracle enumerates with numpy, which nothing else needs."""
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def data_path(name: str) -> Path:

@@ -19,6 +19,15 @@ constant that absorbs the other operand: 0 for and, 1 for or. It decides a
 constant or equal pair of children without a call, and makes the same nodes
 in the same order and the same table entries as the general recursion.
 
+The computed table is a cache, not part of the node store: a caller may
+empty it between two operations, and the next ones only recompute what
+they would have found there. Emptying it never moves a node id, since
+nodes are never freed and a recomputed result is found again in the
+unique table. It is unbounded, and the package empties it at two points
+where what it holds is dead: benchgen.redundancy after each column's AND,
+whose operands are never used again, and embedding.verify once chi_f is
+built, since the walks that follow hit few of the build's entries.
+
 restrict, exists and transfer are one memoised walk, _rebuild, that copies
 a node table's nodes down to the deepest level with a rule, low child first.
 A rule moves its level to a target level (transfer), replaces it by its low
@@ -146,6 +155,11 @@ class Manager:
     """Shared node store plus the computed table of the combinators, which
     keeps one entry per standard ite triple. restrict, exists and transfer
     rebuild a function by a rule per level in one walk with its own memo.
+
+    The computed table (_memo) is a cache that a caller may empty with
+    _memo.clear() between operations, never inside one; node ids do not
+    move. benchgen.redundancy and embedding.verify empty it (see the
+    module docstring).
 
     A variable is its level, the position in the variable order, which this
     manager assigns in creation order: the first variable added is level 0.

@@ -11,7 +11,12 @@ from .bdd import Func, Manager, or_all
 def redundancy(p: int, q: int) -> Func:
     """f = AND_j OR_i (x_i and y_ij): every one of q constraint columns is
     satisfied by some selected row. n = p + p*q variables, ordered x_1..x_p
-    then the y matrix column-major (y_11, y_21, ..., y_p1, y_12, ...)."""
+    then the y matrix column-major (y_11, y_21, ..., y_p1, y_12, ...).
+
+    Each column is conjoined on an empty computed table: no later AND
+    takes the old product or the column as an operand, so the entries
+    they leave could never be hit, and the built nodes are the same.
+    """
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
     manager = Manager()
@@ -29,6 +34,8 @@ def redundancy(p: int, q: int) -> Func:
             manager,
         )
         f = column & f
+        # the old product and this column are never operands again
+        manager._memo.clear()
     return f
 
 

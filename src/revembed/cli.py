@@ -43,7 +43,6 @@ from .embedding import (
 )
 from .errors import ResourceLimitError
 from .linecount import exact_mu_bdd, exact_mu_cube, heuristic_mu, upper_bound_total
-from .oracle import brute_mu
 from .pla import parse_pla, write_pla
 
 EXIT_OK = 0
@@ -55,13 +54,20 @@ EXIT_VERIFY = 3
 MAX_TIMEOUT = 1e9
 
 
+def _brute_mu(pla):
+    # the oracle imports numpy, which no other command needs
+    from .oracle import brute_mu
+
+    return brute_mu(pla)
+
+
 # `lines --method` names; each entry looks its function up when called, so
 # rebinding a module-level name (a test's monkeypatch, a tracer) is seen
 LINE_METHODS = {
     "heuristic": lambda pla: heuristic_mu(pla),
     "exact-cube": lambda pla: exact_mu_cube(pla),
     "exact-bdd": lambda pla: exact_mu_bdd(pla),
-    "brute": lambda pla: brute_mu(pla),
+    "brute": _brute_mu,
 }
 
 

@@ -506,10 +506,19 @@ def verify(rcbdd: RcBdd, source: Union[Pla, list[Func]]) -> VerifyReport:
     chi is walked twice: once to quantify the garbage out, giving the
     domain (ys quantified next) and the projection (kappa = 0 next), and
     once to quantify the inputs out, giving the image.
+
+    chi_f is built first, while the computed table still holds the
+    entries the build of chi left (the outputs' ors, their negations, the
+    region products), and then the manager's table is emptied. The walks
+    and restricts that follow work on chi's projections and hit few of
+    those entries (232 of 56,449 on r20c40's Bennett relation), so
+    dropping them saves their memory at the cost of little recomputation.
     """
     manager, chi = rcbdd.manager, rcbdd.chi
     _, _, place = function_source(source, rcbdd.n)
     funcs = place(manager, rcbdd.xs)
+    chi_f = characteristic(funcs, manager, rcbdd.ys)
+    manager._memo.clear()
     r = rcbdd.r
     relation = manager.sat_count(chi, 2 * r)
     no_garbage = manager.exists(chi, rcbdd.gammas)
@@ -523,7 +532,6 @@ def verify(rcbdd: RcBdd, source: Union[Pla, list[Func]]) -> VerifyReport:
     domain0 = manager.restrict(domain, plane)
     total = domain0 == manager.true
     projected = manager.restrict(no_garbage, plane)
-    chi_f = characteristic(funcs, manager, rcbdd.ys)
     projects = projected == (chi_f & domain0)
     return VerifyReport(
         injective=injective, functional=functional, total=total, projects=projects

@@ -88,6 +88,22 @@ def and_all_bennett_chi(rc, source) -> Func:
     return and_all(terms, manager)
 
 
+def reference_redundancy(p: int, q: int) -> Func:
+    """benchgen.redundancy's family built on one computed table that is
+    never emptied, column by column in the generator's order."""
+    manager = Manager()
+    xs = manager.add_vars("x%d" % (i + 1) for i in range(p))
+    ys = [
+        manager.add_vars("y%d_%d" % (i + 1, j + 1) for i in range(p))
+        for j in range(q)
+    ]
+    f = manager.true
+    for j in reversed(range(q)):
+        terms = [manager.var(x) & manager.var(y) for x, y in zip(xs, ys[j])]
+        f = or_all(terms, manager) & f
+    return f
+
+
 def mk_rebuild(target: Manager, f: Func, move=None, fixed=None) -> Func:
     """f rebuilt on target by a plain _mk recursion over all of f's nodes,
     low child first: a level in fixed is replaced by its fixed child, any

@@ -550,6 +550,32 @@ class TestPlumbing:
         assert proc.returncode == 0
         assert proc.stdout.startswith("# dsop")
 
+    def test_numpy_loads_only_for_the_oracle(self, tmp_path):
+        # the oracle enumerates with numpy, which no symbolic method needs:
+        # a fresh process that imports the CLI and counts by BDD never loads
+        # it, and --method brute and the package's brute_mu still work
+        script = tmp_path / "imports.py"
+        script.write_text(
+            "import contextlib, io, json, sys\n"
+            "import revembed.cli as cli\n"
+            "loaded, mus = ['numpy' in sys.modules], []\n"
+            "for method in ('exact-bdd', 'brute'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        assert cli.main(['lines', sys.argv[1], '--method', method]) == 0\n"
+            "    mus.append(json.loads(out.getvalue())['mu'])\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "from revembed import brute_mu, parse_pla\n"
+            "with open(sys.argv[1]) as fh:\n"
+            "    mus.append(brute_mu(parse_pla(fh.read())).mu)\n"
+            "print(json.dumps({'loaded': loaded, 'mu': mus}))\n"
+        )
+        proc = run_script(script, RUNNING)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "loaded": [False, False, True],
+            "mu": [9, 9, 9],
+        }
+
 
 class TestManagerLifetime:
     @pytest.mark.parametrize(
