@@ -560,17 +560,21 @@ class Manager:
         return self._paths(u, n)
 
     def _paths(self, u: int, n: int) -> Iterator[Cube]:
-        # depth first, low branch first; each entry carries its path's masks
+        # depth first, low branch first: follow the low edges down and
+        # leave each nonzero high child on the stack with its path's masks
+        nodes = self._nodes
         stack = [(u, 0, 0)]
+        pop, push = stack.pop, stack.append
         while stack:
-            x, care, value = stack.pop()
-            if x == 1:
-                yield Cube(n, care, value)
-            elif x:
-                lvl, lo, hi = self._nodes[x]
+            x, care, value = pop()
+            while x > 1:
+                lvl, x, hi = nodes[x]
                 bit = 1 << lvl
-                stack.append((hi, care | bit, value | bit))
-                stack.append((lo, care | bit, value))
+                care |= bit
+                if hi:
+                    push((hi, care, value | bit))
+            if x:
+                yield Cube(n, care, value)
 
     def dag_size(self, f: Func) -> int:
         """Reachable node count, terminals included, from one downward scan

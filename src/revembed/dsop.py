@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Callable
 
 from .bdd import Manager, _and_or_top
 from .cube import Cube, bit_positions, cube_and, cube_sharp
@@ -73,13 +72,16 @@ def dsop(pla: Pla) -> Pla:
     queue = deque(pla.entries)
     acc: list[tuple[Cube, frozenset[int]]] = []
     compat: tuple[list[int], list[int]] = ([0] * pla.n, [0] * pla.n)
+    zero, one = compat
     while queue:
         cube, outs = queue.popleft()
         candidates = (1 << len(acc)) - 1
-        for i, b in cube.literals():
-            candidates &= compat[b][i]
-            if not candidates:
-                break
+        care, value = cube.care, cube.value
+        while care and candidates:
+            low = care & -care
+            care ^= low
+            i = low.bit_length() - 1
+            candidates &= one[i] if value & low else zero[i]
         if not candidates:
             _admit(compat, len(acc), cube)
             acc.append((cube, outs))
@@ -129,7 +131,11 @@ def compact(pla: Pla) -> Pla:
     manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
     # the 1-terminal is the uncovered inputs: no region
     memo: dict[int, dict[int, int]] = {1: {}}
-    regions = _region_walk(root, nodes, pla.n, manager._mk, memo, DEFAULT_PATTERN_CAP)
+    regions = memo.get(root)
+    if regions is None:
+        regions = _region_walk(
+            root, nodes, pla.n, manager._nodes, manager._unique, memo, DEFAULT_PATTERN_CAP
+        )
     # bit 0 of a mask is the covered bit, and bit i output i
     by_outs = {frozenset(bit_positions(mask & ~1)): u for mask, u in regions.items()}
     entries: list[tuple[Cube, frozenset[int]]] = []
@@ -361,21 +367,21 @@ def _region_walk(
     u: int,
     nodes: list[tuple[int, int, int]],
     n: int,
-    mk: Callable[[int, int, int], int],
+    out: list[tuple[int, int, int]],
+    unique: dict[tuple[int, int, int], int],
     memo: dict[int, dict[int, int]],
     cap: int,
 ) -> dict[int, int]:
     """{leaf mask: region node} under row diagram node u: the inputs below
-    u that reach that leaf, built bottom-up on mk's manager, whose levels
-    are the diagram's inputs, 0..n-1. A node at level n or more is a leaf,
-    whose mask sets bit level - n for each level on its chain of high
-    edges and whose region is 1; a node's region for a mask joins its
-    children's regions with mk, a mask missing from a child giving 0
-    there. The recursion is one frame per level.
+    u that reach that leaf, made on the node and unique tables out and
+    unique of a manager whose levels are the diagram's inputs, 0..n-1. A
+    node at level n or more is a leaf, whose mask sets bit level - n for
+    each level on its chain of high edges and whose region is 1; a node's
+    region for a mask joins its children's regions as Manager._mk would, a
+    mask missing from a child giving 0 there, low's masks first. The caller
+    looks u up in memo first, so a memo hit costs no call; memo[u] is
+    filled here. The recursion is one frame per level.
     """
-    got = memo.get(u)
-    if got is not None:
-        return got
     top, lo, hi = nodes[u]
     if top >= n:
         mask, x = 1 << (top - n), hi
@@ -384,12 +390,36 @@ def _region_walk(
             mask |= 1 << (level - n)
         regions = {mask: 1}
     else:
-        low = _region_walk(lo, nodes, n, mk, memo, cap)
-        high = _region_walk(hi, nodes, n, mk, memo, cap)
-        regions = {mask: mk(top, r, high.get(mask, 0)) for mask, r in low.items()}
-        for mask, r in high.items():
+        low = memo.get(lo)
+        if low is None:
+            low = _region_walk(lo, nodes, n, out, unique, memo, cap)
+        high = memo.get(hi)
+        if high is None:
+            high = _region_walk(hi, nodes, n, out, unique, memo, cap)
+        # a region is never 0, so only the masks low has can meet a 0
+        # child, and a node is made exactly when its children differ
+        regions = {}
+        for mask, r in low.items():
+            h = high.get(mask, 0)
+            if r == h:
+                regions[mask] = r
+                continue
+            node = (top, r, h)
+            got = unique.get(node)
+            if got is None:
+                got = len(out)
+                out.append(node)
+                unique[node] = got
+            regions[mask] = got
+        for mask, h in high.items():
             if mask not in low:
-                regions[mask] = mk(top, 0, r)
+                node = (top, 0, h)
+                got = unique.get(node)
+                if got is None:
+                    got = len(out)
+                    out.append(node)
+                    unique[node] = got
+                regions[mask] = got
         # every mask below a node is a mask of the root
         if len(regions) > cap:
             raise ResourceLimitError("more than %d output patterns enumerated" % cap)

@@ -28,13 +28,18 @@ class Pla:
     output_dc_seen: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 0:
+        n, m = self.n, self.m
+        if n < 0 or m < 0:
             raise ValueError("negative plane width")
+        # rows share few output sets: each distinct one is checked once
+        checked = set()
         for cube, outs in self.entries:
-            if len(cube) != self.n:
-                raise ValueError("cube width %d != .i %d" % (len(cube), self.n))
-            if any(o < 1 or o > self.m for o in outs):
-                raise ValueError("output index out of range")
+            if cube.n != n:
+                raise ValueError("cube width %d != .i %d" % (cube.n, n))
+            if outs not in checked:
+                if outs and (min(outs) < 1 or max(outs) > m):
+                    raise ValueError("output index out of range")
+                checked.add(outs)
 
     def cube_count(self) -> int:
         return len(self.entries)
@@ -45,6 +50,8 @@ def parse_pla(text: str) -> Pla:
     n = m = None
     input_names = output_names = None
     entries: list[tuple[Cube, frozenset[int]]] = []
+    # each distinct output plane is decoded once, at its first line
+    planes: dict[str, frozenset[int]] = {}
     output_dc_seen = False
     ended = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -102,16 +109,18 @@ def parse_pla(text: str) -> Pla:
             cube = Cube.parse(inp)
         except ValueError as exc:
             raise PlaError(str(exc), lineno) from None
-        outs = set()
-        for i, ch in enumerate(outp):
-            if ch == "1":
-                outs.add(i + 1)
-            elif ch in "0-~":
-                if ch in "-~":
-                    output_dc_seen = True
-            else:
-                raise PlaError("illegal output character %r" % ch, lineno)
-        entries.append((cube, frozenset(outs)))
+        outs = planes.get(outp)
+        if outs is None:
+            if outp.strip("01-~"):
+                for ch in outp:
+                    if ch not in "01-~":
+                        raise PlaError("illegal output character %r" % ch, lineno)
+            if "-" in outp or "~" in outp:
+                output_dc_seen = True
+            outs = planes[outp] = frozenset(
+                [i for i, ch in enumerate(outp, start=1) if ch == "1"]
+            )
+        entries.append((cube, outs))
     if n is None or m is None:
         raise PlaError("missing .i/.o header")
     if input_names is not None and len(input_names) != n:

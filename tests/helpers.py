@@ -9,6 +9,7 @@ from revembed import (
     Func,
     Manager,
     Pla,
+    ResourceLimitError,
     and_all,
     cube_and,
     cube_sharp,
@@ -195,6 +196,70 @@ def reference_write_pla(pla: Pla) -> str:
         lines.append("%s %s" % (cube, plane) if pla.m else str(cube))
     lines.append(".e")
     return "\n".join(lines) + "\n"
+
+
+def reference_cube_str(cube: Cube) -> str:
+    """Cube text joined one position at a time; str(cube) must equal it."""
+    if not cube.n:
+        return ""
+    care = format(cube.care, "0%db" % cube.n)[::-1]
+    value = format(cube.value, "0%db" % cube.n)[::-1]
+    return "".join([v if c == "1" else "-" for c, v in zip(care, value)])
+
+
+def reference_cube_parse(text: str) -> Cube:
+    """Cube of its text, each character checked in turn; Cube.parse must
+    return the same cube and raise the same error."""
+    for ch in text:
+        if ch not in ("0", "1", "-"):
+            raise ValueError("illegal cube character %r" % (ch,))
+    rev = "-" + text[::-1]
+    care = int(rev.replace("0", "1").replace("-", "0"), 2)
+    value = int(rev.replace("-", "0"), 2)
+    return Cube(len(text), care, value)
+
+
+def reference_paths(manager: Manager, u: int, n: int) -> list[Cube]:
+    """Root-to-1 paths of node u as cubes, by a stack that holds every
+    child, 0-children included; Manager._paths must yield this list."""
+    out = []
+    stack = [(u, 0, 0)]
+    while stack:
+        x, care, value = stack.pop()
+        if x == 1:
+            out.append(Cube(n, care, value))
+        elif x:
+            lvl, lo, hi = manager._nodes[x]
+            bit = 1 << lvl
+            stack.append((hi, care | bit, value | bit))
+            stack.append((lo, care | bit, value))
+    return out
+
+
+def reference_region_walk(u, nodes, n, mk, memo, cap):
+    """dsop._region_walk with every region node made through mk, a
+    Manager's _mk: it must make the same nodes in the same order."""
+    got = memo.get(u)
+    if got is not None:
+        return got
+    top, lo, hi = nodes[u]
+    if top >= n:
+        mask, x = 1 << (top - n), hi
+        while x != 1:
+            level, _, x = nodes[x]
+            mask |= 1 << (level - n)
+        regions = {mask: 1}
+    else:
+        low = reference_region_walk(lo, nodes, n, mk, memo, cap)
+        high = reference_region_walk(hi, nodes, n, mk, memo, cap)
+        regions = {mask: mk(top, r, high.get(mask, 0)) for mask, r in low.items()}
+        for mask, r in high.items():
+            if mask not in low:
+                regions[mask] = mk(top, 0, r)
+        if len(regions) > cap:
+            raise ResourceLimitError("more than %d output patterns enumerated" % cap)
+    memo[u] = regions
+    return regions
 
 
 def reference_dsop(pla: Pla) -> Pla:

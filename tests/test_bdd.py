@@ -33,6 +33,7 @@ from helpers import (
     cube_points,
     mk_rebuild,
     reachable,
+    reference_paths,
     reference_sat_count,
     two_cube_pla,
 )
@@ -513,6 +514,22 @@ class TestCounting:
         assert chi.dag_size() == len(reachable(manager, chi.node))
         assert peaks[0] < 0.5 * 2**20
         assert peaks[1] < 0.1 * 2**20
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=7),
+        rows=st.lists(st.text("01--", min_size=7, max_size=7), max_size=8),
+    )
+    def test_enumerate_paths_order_matches_the_reference(self, n, rows):
+        manager = Manager()
+        manager.add_vars("x%d" % i for i in range(n))
+        f = or_all([manager.from_cube(Cube.parse(text[:n])) for text in rows], manager)
+        # rows=[] gives the 0 root and an all-dash row the 1 root
+        for g in (f, ~f, manager.false, manager.true):
+            want = reference_paths(manager, g.node, n)
+            assert list(manager.enumerate_paths(g, n)) == want
+        assert list(manager.enumerate_paths(manager.false, n)) == []
+        assert list(manager.enumerate_paths(manager.true, n)) == [Cube(n, 0, 0)]
 
     def test_enumerate_paths_partition(self, mgr):
         a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")

@@ -1,6 +1,9 @@
 import contextlib
+import copy
 import io
+import pickle
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,7 @@ from revembed import (
     write_pla,
 )
 
-from helpers import cube_points, random_pla
+from helpers import cube_points, random_pla, reference_cube_parse, reference_cube_str
 
 
 def cubes(n):
@@ -173,6 +176,92 @@ class TestMasks:
         assert list(c.literals()) == want
         assert ((point ^ c.value) & c.care == 0) == (point in cube_points(c))
         assert c.on_size() == len(cube_points(c))
+
+
+@st.composite
+def wide_cubes(draw, max_n=70):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    care = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    value = draw(st.integers(min_value=0, max_value=(1 << n) - 1)) & care
+    return Cube(n, care, value)
+
+
+class TestTextForm:
+    """str and Cube.parse against the per-position references."""
+
+    @given(wide_cubes())
+    def test_str_matches_the_reference(self, c):
+        text = str(c)
+        assert text == reference_cube_str(c)
+        assert Cube.parse(text) == c == reference_cube_parse(text)
+
+    @given(st.text("01-", max_size=70))
+    def test_parse_matches_the_reference(self, text):
+        c = Cube.parse(text)
+        assert c == reference_cube_parse(text)
+        assert str(c) == text
+
+    def test_wide_cube_under_the_default_digit_limit(self):
+        # outside main(), which lifts the limit for its own calls only
+        rng = random.Random(11)
+        text = "".join(rng.choice("01-") for _ in range(20000))
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            c = Cube.parse(text)
+            assert str(c) == text
+            assert Cube(c.n, c.care, c.value) == c
+            with pytest.raises(ValueError):
+                str(c.care)  # the limit is in force
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert c == reference_cube_parse(text)
+
+    @pytest.mark.parametrize(
+        "text,bad",
+        [
+            ("x", "x"),
+            ("01x", "x"),
+            ("x01", "x"),
+            ("0y-x1", "y"),
+            ("-- 0", " "),
+            ("1\n", "\n"),
+            ("01\u00e90", "\u00e9"),
+            ("0_1", "_"),
+        ],
+    )
+    def test_error_names_the_first_illegal_character(self, text, bad):
+        with pytest.raises(ValueError) as err:
+            Cube.parse(text)
+        assert str(err.value) == "illegal cube character %r" % (bad,)
+        with pytest.raises(ValueError) as ref:
+            reference_cube_parse(text)
+        assert str(ref.value) == str(err.value)
+
+
+class TestValueSemantics:
+    """Cube is an immutable value: equal masks mean equal and equal hash."""
+
+    def test_fields_cannot_change(self):
+        c = Cube.parse("1-0")
+        for name in ("n", "care", "value", "other"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(c, name)
+        assert (c.n, c.care, c.value) == (3, 0b101, 0b001)
+
+    def test_copies_are_equal(self):
+        c = Cube.parse("01--1")
+        for other in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert other == c and hash(other) == hash(c)
+            assert type(other) is Cube
+
+    def test_not_equal_to_other_types(self):
+        c = Cube.parse("1-")
+        assert c != (2, 1, 1)
+        assert c != "1-"
+        assert (c == object()) is False
 
 
 def _outputs(pla_path):

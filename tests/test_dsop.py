@@ -25,7 +25,13 @@ from revembed import (
 )
 
 import revembed.cli as cli
-from helpers import random_pla, reference_compact, reference_dsop, reference_post_compact
+from helpers import (
+    random_pla,
+    reference_compact,
+    reference_dsop,
+    reference_post_compact,
+    reference_region_walk,
+)
 
 DSOP_MODULE = importlib.import_module("revembed.dsop")
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
@@ -253,6 +259,45 @@ class TestCompact:
             for cube, o in pla.entries
         ]
         assert and_all(terms, manager).node == root
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        n=st.integers(min_value=1, max_value=8),
+        m=st.integers(min_value=1, max_value=4),
+        max_cubes=st.integers(min_value=1, max_value=12),
+    )
+    def test_region_nodes_match_the_reference_walk(self, seed, n, m, max_cubes):
+        self._check_region_nodes(random_pla(random.Random(seed), n, m, max_cubes))
+
+    @pytest.mark.parametrize("name", ["r14c30", "r16c40"])
+    def test_corpus_region_nodes_match_the_reference_walk(self, name):
+        self._check_region_nodes(parse_pla((CORPUS / (name + ".pla")).read_text()))
+
+    @staticmethod
+    def _check_region_nodes(pla):
+        """compact's region manager holds the nodes, in the order, that the
+        walk through Manager._mk makes on a fresh manager."""
+        made = []
+
+        class Recording(Manager):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        with mock.patch.object(DSOP_MODULE, "Manager", Recording):
+            got = compact(pla)
+        # the row diagram's manager, then the regions'
+        _, regions = made
+        root, nodes = DSOP_MODULE.row_diagram(pla)
+        want = Manager()
+        want.add_vars("x%d" % (i + 1) for i in range(pla.n))
+        reference_region_walk(
+            root, nodes, pla.n, want._mk, {1: {}}, DSOP_MODULE.DEFAULT_PATTERN_CAP
+        )
+        assert regions._nodes == want._nodes
+        assert regions._unique == want._unique
+        assert write_pla(got) == write_pla(reference_compact(pla))
 
     @pytest.mark.parametrize("name", ["r14c30", "r16c40"])
     def test_corpus_matches_the_product_of_bdds(self, name):

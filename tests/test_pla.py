@@ -75,6 +75,39 @@ class TestParse:
         assert err.value.line == lineno
         assert "line %d:" % lineno in str(err.value)
 
+    @pytest.mark.parametrize(
+        "planes,lineno,bad",
+        [
+            (["10", "10", "1x"], 5, "x"),
+            (["10", "01", "10", "x0"], 6, "x"),
+            (["1-", "1-", "~2"], 5, "2"),
+            # a bad plane that repeats fails at its first line
+            (["10", "0y", "0y"], 4, "y"),
+        ],
+    )
+    def test_bad_plane_after_good_ones_keeps_its_line(self, planes, lineno, bad):
+        text = ".i 1\n.o 2\n%s\n.e\n" % "\n".join("1 " + p for p in planes)
+        with pytest.raises(PlaError) as err:
+            parse_pla(text)
+        assert err.value.line == lineno
+        assert str(err.value) == "line %d: illegal output character %r" % (lineno, bad)
+
+    @pytest.mark.parametrize(
+        "planes,seen",
+        [
+            (["10", "10"], False),
+            (["1-", "1-"], True),
+            (["10", "0~", "10", "0~"], True),
+            (["10", "01", "10", "-1"], True),
+        ],
+    )
+    def test_output_dc_seen_on_repeated_planes(self, planes, seen):
+        text = ".i 1\n.o 2\n%s\n.e\n" % "\n".join("1 " + p for p in planes)
+        pla = parse_pla(text)
+        assert pla.output_dc_seen is seen
+        want = [frozenset(i + 1 for i, ch in enumerate(p) if ch == "1") for p in planes]
+        assert [outs for _, outs in pla.entries] == want
+
     def test_missing_cubes_is_fine(self):
         pla = parse_pla(".i 2\n.o 1\n.e\n")
         assert pla.cube_count() == 0
@@ -155,6 +188,22 @@ class TestValidation:
     def test_output_range_checked(self):
         with pytest.raises(ValueError):
             Pla(1, 1, [(Cube.parse("1"), frozenset({2}))])
+
+    @pytest.mark.parametrize("bad", [frozenset({0}), frozenset({1, 3}), frozenset({-1, 2})])
+    def test_bad_output_set_after_good_ones(self, bad):
+        good = [(Cube.parse("1-"), frozenset({1})), (Cube.parse("-1"), frozenset())]
+        with pytest.raises(ValueError, match="output index out of range"):
+            Pla(2, 2, good * 3 + [(Cube.parse("--"), bad)] + good)
+
+    def test_width_checked_on_every_row(self):
+        rows = [(Cube.parse("1-"), frozenset({1}))] * 3 + [(Cube.parse("1"), frozenset({1}))]
+        with pytest.raises(ValueError, match="cube width 1 != .i 2"):
+            Pla(2, 1, rows)
+
+    def test_repeated_sets_and_no_outputs_are_fine(self):
+        rows = [(Cube.parse("1-"), frozenset({1, 2})), (Cube.parse("01"), frozenset())] * 4
+        assert Pla(2, 2, rows).cube_count() == 8
+        assert Pla(1, 0, [(Cube.parse("1"), frozenset())]).cube_count() == 1
 
 
 class TestFunctions:

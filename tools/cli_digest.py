@@ -9,9 +9,10 @@ the shipped PLAs and on the ``perfbench/corpus`` covers with 16 or fewer
 inputs, plus the ``lines`` counts and the ``dsop --compact`` rewrite of
 the wider covers in ``WIDE_COVERS``, the checked Bennett relation of
 ``WIDE_DOT_COVER`` as dot, and the Bennett and exact embeddings and
-exact-bdd count of the benchmark's two-cube PLA with ``PAIR_INPUTS``
-inputs, and the ``lines`` counts and ``dsop --compact`` rewrite of a
-generated cover whose rows share literal suffixes (``suffix_pla``).
+exact-bdd count and the ``dsop`` rewrites of the benchmark's two-cube
+PLA with ``PAIR_INPUTS`` inputs, and the ``lines`` counts and ``dsop
+--compact`` rewrite of a generated cover whose rows share literal
+suffixes (``suffix_pla``).
 For each command it prints one line: the exit code, the md5 of stdout, and
 the command. Two checkouts produce identical output exactly when every
 command exits the same way and writes the same bytes, ``--format dot`` node
@@ -91,7 +92,8 @@ WIDE_DOT = ["embed", "--bennett", "--verify", "--format", "dot"]
 # x1 = 1 drives output 1 and the last input output 2: every x/g level of
 # the Bennett relation is a plain copy, which a wide input stresses, the
 # exact embedding's entry walk runs deepest here, through 298 don't-cares,
-# and the exact-bdd count's walk skips all levels between the two
+# and the exact-bdd count's walk skips all levels between the two; its
+# dsop rewrites are the digest's only cube text wider than 24 columns
 PAIR_INPUTS = 300
 PAIR_FILE = [
     *(
@@ -100,6 +102,8 @@ PAIR_FILE = [
         for fmt in ("json", "dot")
     ),
     ["lines", "--method", "exact-bdd"],
+    ["dsop"],
+    ["dsop", "--compact"],
 ]
 
 # rows that end in a few shared literal suffixes and share output sets:
