@@ -13,11 +13,11 @@ ite(f, not g, g) and xnor is ite(f, g, not g). Before the table is
 consulted, each call is put into a standard triple -- ite(f, f, h) becomes
 ite(f, 1, h), ite(f, g, f) becomes ite(f, g, 0), and the operands of and/or
 are ordered -- so equivalent calls share one entry. ite, not, xor and xnor
-run the general recursion. and, or (with and_all/or_all) and the join of
-exists run one two-operand kernel, as CUDD (Somenzi) does, keyed by the
-constant that absorbs the other operand: 0 for and, 1 for or. It decides a
-constant or equal pair of children without a call, and makes the same nodes
-in the same order and the same table entries as the general recursion.
+run the general recursion. Every triple that is an and or an or -- from
+apply, and_all/or_all, ite or that recursion -- and the join of exists run
+one two-operand kernel, as CUDD (Somenzi) does, keyed by the constant that
+absorbs the other operand: 0 for and, 1 for or. It decides a constant or
+equal pair of children without a call.
 
 The computed table is a cache, not part of the node store: a caller may
 empty it between two operations, and the next ones only recompute what
@@ -65,16 +65,13 @@ TERMINAL_LEVEL = sys.maxsize
 # walks. Since Python 3.11 a call from Python to Python takes no C stack
 # frame, so the cap there is ten times the one that keeps 3.10's C stack
 # safe; a recursive generator would still take one per level, and
-# tests/test_bdd.py checks that the package has none. WIDTH_CEILING is the
-# narrowest two-cube PLA whose embed --verify reaches the cap, as measured:
-# under 400,000, --bennett ran at 199,900 inputs and --exact at 199,990,
-# and both exited 2 at 200,000; under 40,000 they ran at 19,800 and 19,990
-# and exited 2 at 20,000. The CLI refuses such a relation before building
-# it (cli._check_depth).
-if sys.version_info >= (3, 11):
-    MAX_RECURSION, WIDTH_CEILING = 400000, 200000
-else:
-    MAX_RECURSION, WIDTH_CEILING = 40000, 20000
+# tests/test_bdd.py checks that the package has none. The narrowest
+# two-cube PLA whose embed --verify reaches the cap has MAX_RECURSION // 2
+# inputs, as measured: under 400,000, --bennett ran at 199,900 inputs and
+# --exact at 199,990, and both exited 2 at 200,000; under 40,000 they ran
+# at 19,800 and 19,990 and exited 2 at 20,000. The CLI refuses such a
+# relation before building it (cli._check_depth).
+MAX_RECURSION = 400000 if sys.version_info >= (3, 11) else 40000
 
 
 def raise_recursion_limit(levels: int) -> None:
@@ -306,7 +303,8 @@ class Manager:
             return v
         if u == 0:
             return w
-        # standard triples: an operand equal to the condition is a constant
+        # standard triples: an operand equal to the condition is a constant,
+        # and the kernel orders the operands of an or and of an and
         if v == u:
             v = 1
         if w == u:
@@ -314,12 +312,9 @@ class Manager:
         if v == w:
             return v
         if v == 1:
-            if w == 0:
-                return u
-            if w < u:  # or commutes
-                u, w = w, u
-        elif w == 0 and v < u:  # and commutes
-            u, v = v, u
+            return _and_or_top(u, w, 1, self._nodes, self._unique, self._memo)
+        if w == 0:
+            return _and_or_top(u, v, 0, self._nodes, self._unique, self._memo)
         key = (u, v, w)
         out = self._memo.get(key)
         if out is None:
@@ -475,9 +470,9 @@ class Manager:
 
         Exact arbitrary-precision count over any variable window of the
         given size that contains f's support (Knuth, TAOCP 4A 7.1.4), from
-        one top-down pass over f's nodes per call, which also collects the
-        support (nothing is cached); errors when the window is smaller than
-        the support.
+        one top-down pass over f's nodes per call (nothing is cached). Only
+        a window narrower than the manager can miss the support, so only
+        then is the support read (_levels), and ValueError raised if so.
 
         A node's weight is the number of assignments to the levels above it
         that lead to it: the root weighs 2^level, and a node hands its
@@ -493,10 +488,16 @@ class Manager:
         """
         u = self._check(f)
         nodes, top = self._nodes, len(self._names)
+        if support_size < top:
+            size = len(self._levels(u))
+            if support_size < size:
+                raise ValueError(
+                    "support_size %d is smaller than the support (%d variables)"
+                    % (support_size, size)
+                )
         weight = {u: 1 << nodes[u][0]} if u >= 2 else {}
         total = 1 << top if u == 1 else 0
-        levels = set()
-        get, pop, add_level = weight.get, weight.pop, levels.add
+        get, pop = weight.get, weight.pop
         # _mk links a node only to older ones, so descending ids put
         # parents first; an id no weight reached is skipped
         for x in range(u, 1, -1):
@@ -504,7 +505,6 @@ class Manager:
             if w is None:
                 continue
             lvl, lo, hi = nodes[x]
-            add_level(lvl)
             if lo >= 2:
                 add = w << (nodes[lo][0] - lvl - 1)
                 got = get(lo)
@@ -519,11 +519,6 @@ class Manager:
                 total += w << (top - lvl - 1)
             if not weight:
                 break
-        if support_size < len(levels):
-            raise ValueError(
-                "support_size %d is smaller than the support (%d variables)"
-                % (support_size, len(levels))
-            )
         # rescale from the top levels counted to the window
         shift = support_size - top
         return total << shift if shift >= 0 else total >> -shift
@@ -617,35 +612,43 @@ class Manager:
 
 def and_all(funcs: list[Func], manager: Optional[Manager] = None) -> Func:
     """Balanced conjunction; true for an empty list."""
-    return _reduce("and", funcs, manager, empty=1)
+    return _reduce(funcs, manager, 0)
 
 
 def or_all(funcs: list[Func], manager: Optional[Manager] = None) -> Func:
     """Balanced disjunction; false for an empty list."""
-    return _reduce("or", funcs, manager, empty=0)
+    return _reduce(funcs, manager, 1)
 
 
-def _reduce(op: str, funcs: list[Func], manager: Optional[Manager], empty: int) -> Func:
-    if not funcs:
+def _reduce(funcs: list[Func], manager: Optional[Manager], z: int) -> Func:
+    """and_all (z = 0) or or_all (z = 1), each operand checked once;
+    manager is read only for an empty list."""
+    work = list(funcs)
+    if not work:
         if manager is None:
             raise ValueError("empty reduction needs an explicit manager")
-        return Func(manager, empty)
-    work = list(funcs)
+        return Func(manager, 1 - z)
+    owner = work[0].manager
+    return Func(owner, _pairing([owner._check(f) for f in work], z, owner))
+
+
+def _pairing(work: list[int], z: int, manager: Manager) -> int:
+    """The balanced and (z = 0) or or (z = 1) of manager's node ids in
+    work, 1 - z for none: each round joins adjacent ids on the kernel and
+    carries an odd last one up as it is."""
+    nodes, unique, memo = manager._nodes, manager._unique, manager._memo
     while len(work) > 1:
-        nxt = []
-        for i in range(0, len(work) - 1, 2):
-            nxt.append(work[i].manager.apply(op, work[i], work[i + 1]))
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]
+        pairs = zip(work[::2], work[1::2])
+        nxt = [_and_or_top(u, v, z, nodes, unique, memo) for u, v in pairs]
+        work = nxt + work[-1:] if len(work) % 2 else nxt
+    return work[0] if work else 1 - z
 
 
-# _and_or is both and and or of the ITE core, node for node, keyed by z, the
-# constant that absorbs the other operand: 0 for and, 1 for or. The kernel
-# keeps _ite's standard-triple computed-table keys, (u, v, 0) for and and
-# (u, 1, v) for or with u the smaller operand, recurses low first, and makes
-# each node as _mk does. A child pair that is a constant or an equal pair is
+# _and_or is both and and or of the ITE core, keyed by z, the constant that
+# absorbs the other operand: 0 for and, 1 for or. The kernel keeps the
+# standard-triple computed-table keys, (u, v, 0) for and and (u, 1, v) for
+# or with u the smaller operand, recurses low first, and makes each node as
+# _mk does. A child pair that is a constant or an equal pair is
 # decided in the caller's frame, so it costs no call.
 
 

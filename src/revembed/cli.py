@@ -294,9 +294,10 @@ def _descend(k: int) -> None:
 
 
 def _too_wide() -> str:
+    cap = bdd.MAX_RECURSION  # a two-cube PLA reaches it at half as many inputs
     return (
         "input too wide: BDD recursion passed its depth cap of %d levels "
-        "(inputs past about %d reach it)" % (bdd.MAX_RECURSION, bdd.WIDTH_CEILING)
+        "(inputs past about %d reach it)" % (cap, cap // 2)
     )
 
 
@@ -426,6 +427,8 @@ def _main(argv) -> int:
 
     if use_alarm:
         old_handler = signal.signal(signal.SIGALRM, _on_alarm)
+    # a handler keeps only the exit code and the line, printed once the try
+    # statement has freed the failed command's frames: memory has room again
     try:
         try:
             if use_alarm:
@@ -436,18 +439,18 @@ def _main(argv) -> int:
             armed = False
     except (ResourceLimitError, MemoryError) as exc:
         # a bare MemoryError carries no text
-        print("resource limit: %s" % (str(exc) or "out of memory"), file=sys.stderr)
-        return EXIT_RESOURCE
+        failed = EXIT_RESOURCE, "resource limit: %s" % (str(exc) or "out of memory")
     except RecursionError:
-        print("resource limit: %s" % _too_wide(), file=sys.stderr)
-        return EXIT_RESOURCE
+        failed = EXIT_RESOURCE, "resource limit: %s" % _too_wide()
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        failed = EXIT_USAGE, "error: %s" % exc
     finally:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, old_handler)
+    code, line = failed
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import replace
 
-from .bdd import Manager, _and_or_top
+from .bdd import Manager, _pairing
 from .cube import Cube, bit_positions, cube_and, cube_sharp
 from .errors import ResourceLimitError
 from .pla import Pla
@@ -133,9 +133,7 @@ def compact(pla: Pla) -> Pla:
     memo: dict[int, dict[int, int]] = {1: {}}
     regions = memo.get(root)
     if regions is None:
-        regions = _region_walk(
-            root, nodes, pla.n, manager._nodes, manager._unique, memo, DEFAULT_PATTERN_CAP
-        )
+        regions = _region_walk(root, nodes, pla.n, manager._nodes, manager._unique, memo)
     # bit 0 of a mask is the covered bit, and bit i output i
     by_outs = {frozenset(bit_positions(mask & ~1)): u for mask, u in regions.items()}
     entries: list[tuple[Cube, frozenset[int]]] = []
@@ -152,11 +150,11 @@ def row_diagram(pla: Pla) -> tuple[int, list[tuple[int, int, int]]]:
     The inputs are levels 0..n-1, and below them lie the mask bits: the
     covered bit at level n and output i at level n + i. A row is the term
     not cube or the AND of its mask bits, the covered bit among them, and
-    the diagram is the AND of the rows' terms, by the balanced pairing of
-    bdd.and_all on the manager's kernel. The first node an input reaches
-    at a level of n or more is its leaf: the 1-terminal when no row covers
-    the input, and otherwise the AND chain of the mask bits of the rows
-    that cover it, so the part above level n is the multi-terminal diagram
+    the diagram is the AND of the rows' terms, by and_all's pairing on
+    their node ids (bdd._pairing). The first node an input reaches at a
+    level of n or more is its leaf: the 1-terminal when no row covers the
+    input, and otherwise the AND chain of the mask bits of the rows that
+    cover it, so the part above level n is the multi-terminal diagram
     (Bahar et al., ICCAD 1993) whose leaves are the OR of those rows'
     masks. The row chains are made inline, as Manager._mk would.
     """
@@ -165,7 +163,7 @@ def row_diagram(pla: Pla) -> tuple[int, list[tuple[int, int, int]]]:
     manager.add_vars([None] * (n + 1 + pla.m))
     nodes, unique = manager._nodes, manager._unique
     masks: dict[frozenset[int], int] = {}
-    work = []
+    terms = []
     for cube, outs in pla.entries:
         u = masks.get(outs)
         if u is None:
@@ -183,17 +181,8 @@ def row_diagram(pla: Pla) -> tuple[int, list[tuple[int, int, int]]]:
                 u = len(nodes)
                 nodes.append(node)
                 unique[node] = u
-        work.append(u)
-    memo = manager._memo
-    while len(work) > 1:
-        nxt = [
-            _and_or_top(work[i], work[i + 1], 0, nodes, unique, memo)
-            for i in range(0, len(work) - 1, 2)
-        ]
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return (work[0] if work else 1), nodes
+        terms.append(u)
+    return _pairing(terms, 0, manager), nodes
 
 
 def pla_counts(pla: Pla) -> dict[frozenset[int], int]:
@@ -370,7 +359,6 @@ def _region_walk(
     out: list[tuple[int, int, int]],
     unique: dict[tuple[int, int, int], int],
     memo: dict[int, dict[int, int]],
-    cap: int,
 ) -> dict[int, int]:
     """{leaf mask: region node} under row diagram node u: the inputs below
     u that reach that leaf, made on the node and unique tables out and
@@ -380,7 +368,9 @@ def _region_walk(
     region for a mask joins its children's regions as Manager._mk would, a
     mask missing from a child giving 0 there, low's masks first. The caller
     looks u up in memo first, so a memo hit costs no call; memo[u] is
-    filled here. The recursion is one frame per level.
+    filled here. The recursion is one frame per level. Raises
+    ResourceLimitError when a node reaches more than DEFAULT_PATTERN_CAP
+    masks.
     """
     top, lo, hi = nodes[u]
     if top >= n:
@@ -392,10 +382,10 @@ def _region_walk(
     else:
         low = memo.get(lo)
         if low is None:
-            low = _region_walk(lo, nodes, n, out, unique, memo, cap)
+            low = _region_walk(lo, nodes, n, out, unique, memo)
         high = memo.get(hi)
         if high is None:
-            high = _region_walk(hi, nodes, n, out, unique, memo, cap)
+            high = _region_walk(hi, nodes, n, out, unique, memo)
         # a region is never 0, so only the masks low has can meet a 0
         # child, and a node is made exactly when its children differ
         regions = {}
@@ -421,8 +411,10 @@ def _region_walk(
                     unique[node] = got
                 regions[mask] = got
         # every mask below a node is a mask of the root
-        if len(regions) > cap:
-            raise ResourceLimitError("more than %d output patterns enumerated" % cap)
+        if len(regions) > DEFAULT_PATTERN_CAP:
+            raise ResourceLimitError(
+                "more than %d output patterns enumerated" % DEFAULT_PATTERN_CAP
+            )
     memo[u] = regions
     return regions
 

@@ -5,8 +5,8 @@ output pattern. An injective embedding needs ell = ceil(log2 mu) extra
 garbage outputs, for m + ell circuit lines total (the Bennett scheme's
 n + m is the generic upper bound). Three routes are provided:
 
-* heuristic_mu   -- per-cube accumulation; an upper-bound estimate unless
-                    the cube list is already disjoint,
+* heuristic_mu   -- per-cube accumulation; an estimate that may lie above
+                    or below mu unless the cube list is already disjoint,
 * exact_mu_cube  -- disjoint rewriting first, then the same accumulation,
 * exact_mu_bdd   -- the partition of B^n by output pattern, without the
                     characteristic function chi(x, y): for a Pla, one
@@ -81,9 +81,10 @@ def _finish(method: str, exact: bool, per_pattern: dict, m: int) -> LineReport:
 
 
 def heuristic_mu(pla: Pla) -> LineReport:
-    """Per-entry accumulation with the exact OFF-set size. Counts for
-    patterns produced only by overlaps are over-estimates; the maximum is
-    an upper bound on mu, and exact when the Pla is dsop-certified."""
+    """Per-entry accumulation with the exact OFF-set size; exact when the Pla
+    is dsop-certified. Otherwise an input under entries of different
+    patterns counts under each, never under their union, so the maximum
+    bounds mu neither way: 16 on underapprox_example.pla, whose mu is 20."""
     per = _cube_counts(pla)
     return _finish(METHOD_HEURISTIC_CUBE, pla.dsop_certified, per, pla.m)
 

@@ -141,6 +141,57 @@ def reachable(manager: Manager, u: int) -> set[int]:
     return seen
 
 
+def reference_ite(manager: Manager, u: int, v: int, w: int) -> int:
+    """Manager._ite with no and/or kernel: the general recursion on the
+    standard triple, which orders an and's or an or's operands itself, on
+    the manager's node and computed tables. The reference for the nodes and
+    table keys of the kernel, which every and/or triple reaches."""
+    if u == 1:
+        return v
+    if u == 0:
+        return w
+    if v == u:
+        v = 1
+    if w == u:
+        w = 0
+    if v == w:
+        return v
+    if v == 1:
+        if w == 0:
+            return u
+        if w < u:  # or commutes
+            u, w = w, u
+    elif w == 0 and v < u:  # and commutes
+        u, v = v, u
+    key = (u, v, w)
+    out = manager._memo.get(key)
+    if out is None:
+        nodes = manager._nodes
+        top = min(nodes[u][0], nodes[v][0], nodes[w][0])
+        lows, highs = [], []
+        for x in (u, v, w):
+            lvl, lo, hi = nodes[x]
+            lows.append(lo if lvl == top else x)
+            highs.append(hi if lvl == top else x)
+        low = reference_ite(manager, *lows)
+        out = manager._mk(top, low, reference_ite(manager, *highs))
+        manager._memo[key] = out
+    return out
+
+
+def reference_reduce(manager: Manager, work: list[int], z: int) -> int:
+    """and_all (z = 0) or or_all (z = 1) of node ids by the balanced
+    pairing, each pair joined by reference_ite and an odd last one carried
+    up as it is; 1 - z for no ids."""
+    while len(work) > 1:
+        nxt = [
+            reference_ite(manager, u, 1, v) if z else reference_ite(manager, u, v, 0)
+            for u, v in zip(work[::2], work[1::2])
+        ]
+        work = nxt + work[-1:] if len(work) % 2 else nxt
+    return work[0] if work else 1 - z
+
+
 def reference_sat_count(f: Func, support_size: int) -> int:
     """Manager.sat_count bottom-up, as Knuth (TAOCP 4A 7.1.4) counts: one
     ascending pass over f's reachable nodes that keeps every node's count

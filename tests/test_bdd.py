@@ -33,7 +33,9 @@ from helpers import (
     cube_points,
     mk_rebuild,
     reachable,
+    reference_ite,
     reference_paths,
+    reference_reduce,
     reference_sat_count,
     two_cube_pla,
 )
@@ -356,6 +358,20 @@ class TestSemantics:
         assert and_all([], mgr).is_true
         assert or_all([], mgr).is_false
 
+    def test_and_or_all_edges(self, mgr):
+        a, b = mgr.var("a"), mgr.var("b")
+        assert and_all([a]) == or_all([a]) == a
+        with pytest.raises(ValueError, match="explicit manager"):
+            or_all([])
+        other = Manager()
+        other.add_var("a")
+        made = mgr.node_count()
+        # every operand is checked before any pair is joined
+        for reduce in (and_all, or_all):
+            with pytest.raises(ValueError, match="mixed managers"):
+                reduce([a, b, other.var("a")], mgr)
+        assert mgr.node_count() == made
+
 
 class TestCounting:
     def test_sat_count_examples(self, mgr):
@@ -367,9 +383,14 @@ class TestCounting:
         assert mgr.sat_count(mgr.false, 5) == 0
 
     def test_sat_count_window_too_small(self, mgr):
+        # the window is narrower than the manager's four levels
         f = mgr.var("a") & mgr.var("b") & mgr.var("c")
-        with pytest.raises(ValueError):
+        assert mgr.sat_count(f, 3) == 1
+        with pytest.raises(ValueError) as info:
             mgr.sat_count(f, 2)
+        assert str(info.value) == (
+            "support_size 2 is smaller than the support (3 variables)"
+        )
 
     def test_sat_count_skipped_levels(self, mgr):
         # d alone in a 4-var window: position in the order must not matter
@@ -717,20 +738,37 @@ def exprs(nvars):
 
 
 def build(manager, names, node, by_ite=False):
-    """The formula's node; by_ite takes and and or through ite."""
+    """The formula's node; by_ite takes every combinator through the
+    reference recursion (ite_node)."""
     if node[0] == "var":
         return manager.var(names[node[1]])
-    if node[0] == "not":
-        return ~build(manager, names, node[1], by_ite)
     kids = [build(manager, names, kid, by_ite) for kid in node[1:]]
+    if by_ite:
+        return Func(manager, ite_node(manager, node[0], [f.node for f in kids]))
+    if node[0] == "not":
+        return ~kids[0]
     if node[0] == "ite":
         return manager.ite(*kids)
-    fl, fr = kids
-    if by_ite and node[0] == "and":
-        return manager.ite(fl, fr, manager.false)
-    if by_ite and node[0] == "or":
-        return manager.ite(fl, manager.true, fr)
-    return manager.apply(node[0], fl, fr)
+    return manager.apply(node[0], *kids)
+
+
+def ite_node(manager, op, args):
+    """op's node by reference_ite, in the triples negate and apply use."""
+    if op == "not":
+        return reference_ite(manager, args[0], 0, 1)
+    if op == "ite":
+        return reference_ite(manager, *args)
+    u, v = args
+    if op == "and":
+        return reference_ite(manager, u, v, 0)
+    if op == "or":
+        return reference_ite(manager, u, 1, v)
+    if u == v:
+        return 0 if op == "xor" else 1
+    nv = reference_ite(manager, v, 0, 1)
+    if op == "xor":
+        return reference_ite(manager, u, nv, v)
+    return reference_ite(manager, u, v, nv)
 
 
 def py_eval(node, bits):
@@ -824,22 +862,9 @@ def test_restrict_matches_eval(node, assignment):
         assert g == f
 
 
-def ite_reduce(manager, funcs, op):
-    """and_all/or_all's balanced pairing, each pair joined by ite."""
-    work = list(funcs)
-    while len(work) > 1:
-        nxt = [
-            manager.ite(f, g, manager.false)
-            if op == "and"
-            else manager.ite(f, manager.true, g)
-            for f, g in zip(work[::2], work[1::2])
-        ]
-        work = nxt + work[-1:] if len(work) % 2 else nxt
-    return work[0]
-
-
 def ite_exists(manager, f, levels):
-    """Quantification with each quantified level joined by _ite(lo, 1, hi)."""
+    """Quantification with each quantified level joined by
+    reference_ite(lo, 1, hi)."""
     nodes, memo = manager._nodes, {}
 
     def walk(x):
@@ -849,7 +874,7 @@ def ite_exists(manager, f, levels):
             lvl, lo, hi = nodes[x]
             lo, hi = walk(lo), walk(hi)
             if lvl in levels:
-                memo[x] = manager._ite(lo, 1, hi)
+                memo[x] = reference_ite(manager, lo, 1, hi)
             else:
                 memo[x] = manager._mk(lvl, lo, hi)
         return memo[x]
@@ -859,12 +884,13 @@ def ite_exists(manager, f, levels):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(exprs(NVARS), min_size=1, max_size=4),
+    st.lists(exprs(NVARS), min_size=1, max_size=7),
     st.sets(st.integers(0, NVARS - 1)),
 )
 def test_and_or_kernels_make_the_nodes_of_the_ite_core(nodes, levels):
     # twin managers make the same calls in the same order: one through
-    # apply, and_all/or_all and exists, one through ite alone
+    # apply, and_all/or_all and exists, one through the reference ite
+    # recursion alone
     kernel, core = Manager(), Manager()
     names = ["x%d" % (i + 1) for i in range(NVARS)]
     kernel.add_vars(names)
@@ -872,7 +898,7 @@ def test_and_or_kernels_make_the_nodes_of_the_ite_core(nodes, levels):
     fs = [build(kernel, names, node) for node in nodes]
     gs = [build(core, names, node, by_ite=True) for node in nodes]
     got = [and_all(fs), or_all(fs)] + [kernel.exists(f, levels) for f in fs]
-    want = [ite_reduce(core, gs, "and"), ite_reduce(core, gs, "or")]
+    want = [Func(core, reference_reduce(core, [g.node for g in gs], z)) for z in (0, 1)]
     want += [ite_exists(core, g, levels) for g in gs]
     assert [f.node for f in got] == [g.node for g in want]
     assert kernel._nodes == core._nodes
@@ -880,6 +906,31 @@ def test_and_or_kernels_make_the_nodes_of_the_ite_core(nodes, levels):
     for f in fs + got:
         assert f.dag_size() == len(reachable(kernel, f.node))
     assert kernel.true.dag_size() == kernel.false.dag_size() == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs(NVARS), exprs(NVARS))
+def test_and_or_shaped_ite_runs_the_kernel(left, right):
+    # every and- or or-shaped ite triple, commuted or written with a
+    # repeated operand, leaves the nodes and table keys of apply's and and
+    # or on a twin manager, and of the reference recursion on a third
+    names = ["x%d" % (i + 1) for i in range(NVARS)]
+    by_ite, by_apply, core = Manager(), Manager(), Manager()
+    for manager in (by_ite, by_apply, core):
+        manager.add_vars(names)
+    f, g = build(by_ite, names, left), build(by_ite, names, right)
+    zero, one = by_ite.false, by_ite.true
+    got = [by_ite.ite(*t) for t in [(f, g, zero), (g, f, zero), (f, g, f)]]
+    got += [by_ite.ite(*t) for t in [(f, one, g), (g, one, f), (f, f, g)]]
+    f, g = build(by_apply, names, left), build(by_apply, names, right)
+    want = [f & g, g & f, f & g, f | g, g | f, f | g]
+    u, v = (build(core, names, e, by_ite=True).node for e in (left, right))
+    ands = [(u, v, 0), (v, u, 0), (u, v, u)]
+    ors = [(u, 1, v), (v, 1, u), (u, u, v)]
+    ref = [reference_ite(core, *t) for t in ands + ors]
+    assert [h.node for h in got] == [h.node for h in want] == ref
+    assert by_ite._nodes == by_apply._nodes == core._nodes
+    assert by_ite._memo.keys() == by_apply._memo.keys() == core._memo.keys()
 
 
 @settings(max_examples=150, deadline=None)

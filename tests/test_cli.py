@@ -51,8 +51,9 @@ def console_script(directory, name):
     return script
 
 
-def run_script(script, *argv):
-    """Run `script` on the `revembed` package this test process imported."""
+def run_script(script, *argv, **options):
+    """Run `script` on the `revembed` package this test process imported;
+    options go to subprocess.run."""
     source = str(Path(revembed.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -60,6 +61,7 @@ def run_script(script, *argv):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        **options,
     )
 
 
@@ -202,11 +204,9 @@ class TestEmbed:
     def test_too_wide_for_the_recursion_exits_2(self, capsys, tmp_path, monkeypatch):
         # the interleaved Bennett order has two levels per line, so
         # verify's quantification over chi would pass the depth cap of the
-        # recursive BDD core at WIDTH_CEILING inputs, and the command exits
-        # before it builds chi; Python 3.10's cap and ceiling keep this
-        # run small
+        # recursive BDD core at half its levels in inputs, and the command
+        # exits before it builds chi; Python 3.10's cap keeps this run small
         monkeypatch.setattr(cli.bdd, "MAX_RECURSION", 40000)
-        monkeypatch.setattr(cli.bdd, "WIDTH_CEILING", 20000)
         n = 20000
         wide = tmp_path / "wide.pla"
         wide.write_text(two_cube_pla(n))
@@ -223,7 +223,7 @@ class TestEmbed:
         assert err.count("\n") == 1
         # the line names the width, not one command
         assert "depth cap of 40000 levels" in err
-        assert "inputs past about 20000" in err
+        assert "(inputs past about 20000 reach it)" in err
 
     @pytest.mark.parametrize("mode", ["--bennett", "--exact"])
     def test_too_deep_for_verify_exits_before_the_build(
@@ -232,7 +232,6 @@ class TestEmbed:
         # a cap of 4000 levels is reached near 2000 inputs, where the
         # relation has 2r of about 4000 levels
         monkeypatch.setattr(cli.bdd, "MAX_RECURSION", 4000)
-        monkeypatch.setattr(cli.bdd, "WIDTH_CEILING", 2000)
         build = "embed_bennett" if mode == "--bennett" else "embed_exact"
         built = []
         real = getattr(cli, build)
@@ -262,7 +261,7 @@ class TestEmbed:
         code, out, err = embed(lo)
         assert (code, out, built) == (2, "", [])
         assert err.startswith("resource limit: input too wide")
-        assert "depth cap of 4000 levels" in err
+        assert "depth cap of 4000 levels (inputs past about 2000 reach it)" in err
         # the check refuses no input that could run: without it, the same
         # input is built and then fails in verify's recursion
         check = cli._check_depth
@@ -283,7 +282,6 @@ class TestEmbed:
         # the exact relation has r >= n lines, so an input whose 2n levels
         # alone pass the cap of 4000 is refused before the cover is built
         monkeypatch.setattr(cli.bdd, "MAX_RECURSION", 4000)
-        monkeypatch.setattr(cli.bdd, "WIDTH_CEILING", 2000)
         rewritten = []
         monkeypatch.setattr(cli, "dsop", lambda pla: rewritten.append(pla.n))
         wide = tmp_path / "wide.pla"
@@ -497,6 +495,31 @@ class TestPlumbing:
         code, out, err = run(capsys, "lines", RUNNING)
         assert (code, out) == (2, "")
         assert err == "resource limit: %s\n" % reason
+
+    @pytest.mark.skipif(
+        sys.platform != "linux", reason="RLIMIT_AS bounds the heap on Linux"
+    )
+    @pytest.mark.parametrize(
+        "command", [["embed", "--bennett"], ["embed", "--exact"], ["dsop", "--compact"]]
+    )
+    def test_exhausted_address_space_exits_2(self, tmp_path, command):
+        # 3,000,000 inputs and no rows fill a 384 MiB address space in about
+        # 1-2 s. The limit is set in the child alone. Printed while the
+        # failed command's frames were still held, the line met a second
+        # MemoryError, and embed --bennett exited 1 with a dump of it
+        import resource
+
+        limit = 384 << 20
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        wide = tmp_path / "wide.pla"
+        wide.write_text(".i 3000000\n.o 1\n.e\n")
+        script = console_script(tmp_path, "revembed")
+        done = run_script(script, *command, str(wide), preexec_fn=cap)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "resource limit: out of memory\n"
 
     @pytest.mark.parametrize("timeout", ["0.000001", "0.000002", "0.000005", "0.00001"])
     def test_tiny_timeouts_exit_2(self, capsys, timeout):

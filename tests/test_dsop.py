@@ -30,6 +30,7 @@ from helpers import (
     reference_compact,
     reference_dsop,
     reference_post_compact,
+    reference_reduce,
     reference_region_walk,
 )
 
@@ -240,24 +241,43 @@ class TestCompact:
         outs = st.frozensets(st.integers(1, m), max_size=m)
         rows = data.draw(st.lists(st.tuples(texts, outs), max_size=10))
         pla = Pla(n, m, [(Cube.parse(text), o) for text, o in rows])
-        made = []
+        made, calls = [], []
 
         class Recording(Manager):
             def __init__(self):
                 super().__init__()
                 made.append(self)
 
-        with mock.patch.object(DSOP_MODULE, "Manager", Recording):
+        def recording_pairing(work, z, manager):
+            calls.append((list(work), z, len(manager._nodes)))
+            return pairing(work, z, manager)
+
+        pairing = DSOP_MODULE._pairing
+        with mock.patch.multiple(
+            DSOP_MODULE, Manager=Recording, _pairing=recording_pairing
+        ):
             root, nodes = DSOP_MODULE.row_diagram(pla)
         (manager,) = made
         assert nodes is manager._nodes
+        # after the row chains, and_all's pairing makes the nodes of the
+        # balanced pairing through the reference recursion, in its order
+        ((rows, z, chains),) = calls
+        assert z == 0
+        twin = Manager()
+        twin.add_vars([None] * manager.var_count())
+        twin._nodes = nodes[:chains]
+        twin._unique = {node: x for x, node in enumerate(twin._nodes) if x >= 2}
+        assert reference_reduce(twin, rows, 0) == root
+        assert twin._nodes == nodes
         # the covered bit is level n and output i level n + i; equal
-        # functions share a node, so the root is the node of the AND
+        # functions share a node, so the pairing got each row's term in row
+        # order, and the root is the node of the AND
         terms = [
             ~manager.from_cube(cube)
             | and_all([manager.var(n + i) for i in sorted({0} | o)])
             for cube, o in pla.entries
         ]
+        assert [t.node for t in terms] == rows
         assert and_all(terms, manager).node == root
 
     @settings(max_examples=100, deadline=None)
