@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or input errors or an unwritable output
-file, 2 an exhausted time or pattern budget, a --format pla dump past its
-row or cell budget, a bench --ordering-study of more than
-embedding.MAX_STUDY_LINES = 16 lines, or an input too wide for the
-recursive BDD core, 3 a requested verification failed. embed --verify
-exits 2 for width before it builds the relation, once the relation's
-line count is known; embed --exact --verify first checks the input
-count, a lower bound of that line count, before it builds the cover.
+Exit codes: 0 success, 1 usage or input errors (a PLA .i or .o past
+sys.maxsize // 4 included) or an unwritable output file, 2 an exhausted
+time or pattern budget, a --format pla dump past its row or cell budget,
+a bench --ordering-study of more than embedding.MAX_STUDY_LINES = 16
+lines, or an input too wide for the recursive BDD core, 3 a requested
+verification failed. embed --verify exits 2 for width before it builds
+the relation, once the relation's line count is known; embed --exact
+--verify first checks the input count, a lower bound of that line count,
+before it builds the cover.
 
 The --timeout budget is a SIGALRM timer, so main() enforces it only when
 called on the main thread; called from any other thread it runs unbounded.
@@ -18,12 +19,18 @@ main() may be called repeatedly in one process: the argument parser is
 built on the first call and shared by every later one, each of which
 parses into a fresh namespace. A console-script run calls main() once, so
 it builds the parser once, as before.
+
+Counts are written in decimal by linecount.decimal_text, at any width and
+under whatever int-to-str digit limit the interpreter is set to. The only
+interpreter setting main() changes is the recursion limit, which it puts
+back (_ProcessLimits).
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import re
 import signal
 import sys
 import threading
@@ -42,7 +49,13 @@ from .embedding import (
     verify,
 )
 from .errors import ResourceLimitError
-from .linecount import exact_mu_bdd, exact_mu_cube, heuristic_mu, upper_bound_total
+from .linecount import (
+    decimal_text,
+    exact_mu_bdd,
+    exact_mu_cube,
+    heuristic_mu,
+    upper_bound_total,
+)
 from .pla import parse_pla, write_pla
 
 EXIT_OK = 0
@@ -56,8 +69,10 @@ MAX_TIMEOUT = 1e9
 
 def _brute_mu(pla):
     # the oracle imports numpy, which no other command needs
-    from .oracle import brute_mu
-
+    try:
+        from .oracle import brute_mu
+    except ImportError as exc:
+        raise _UsageError("--method brute needs numpy: %s" % exc) from None
     return brute_mu(pla)
 
 
@@ -191,10 +206,31 @@ def _emit(text: str, output):
 
 
 def _emit_json(payload, output=None):
-    """Write payload as JSON. Counts grow like 2**n, past the 4300 digits
-    Python converts between int and str by default; main() lifts that cap
-    while any call of it runs (_ProcessLimits)."""
-    _emit(json.dumps(payload, indent=2) + "\n", output)
+    """Write payload as JSON, each int past 64 bits (a count, such as mu)
+    in decimal_text's digits.
+
+    json writes an int, even an int subclass, by int.__repr__: quadratic in
+    the digits and held to the int-to-str digit limit. So a wide int goes
+    in as a placeholder string, a NUL and an index, and its digits replace
+    the placeholder's JSON text. A file name, the only string a payload
+    takes from outside, holds no NUL.
+    """
+    wide = []
+
+    def place(value):
+        if isinstance(value, dict):
+            return {key: place(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [place(item) for item in value]
+        if isinstance(value, int) and value.bit_length() > 64:
+            wide.append(decimal_text(value))
+            return "\0%d" % (len(wide) - 1)
+        return value
+
+    text = json.dumps(place(payload), indent=2)
+    if wide:
+        text = re.sub(r'"\\u0000(\d+)"', lambda match: wide[int(match[1])], text)
+    _emit(text + "\n", output)
 
 
 def _cmd_lines(args) -> int:
@@ -316,7 +352,7 @@ def _cmd_gen(args) -> int:
     count = manager.sat_count(func, n)
     payload.update({"n": n, "node_count": func.dag_size()})
     embed = embed_bennett([func], n=n).summary() if args.embed else None
-    _emit_json({**payload, "sat_count": str(count), "embed": embed})
+    _emit_json({**payload, "sat_count": decimal_text(count), "embed": embed})
     return EXIT_OK
 
 
@@ -357,37 +393,31 @@ def _cmd_bench(args) -> int:
 
 
 class _ProcessLimits:
-    """Lifts the int-to-str digit limit while any main() call runs, and
-    restores it and the recursion limit once none is running.
+    """Restores the recursion limit once no main() call is running.
 
-    Both limits belong to the whole interpreter. The commands raise the
-    recursion limit for wide inputs (bdd.raise_recursion_limit), and counts
-    grow like 2**n, past the 4300 digits Python converts between int and
-    str by default. main() calls may overlap on several threads, so the
-    first of them to enter saves both limits and lifts the digit limit, and
-    the last to return puts both back: no call changes either limit under
-    another call still running.
+    The limit belongs to the whole interpreter, and the commands raise it
+    for wide inputs (bdd.raise_recursion_limit). main() calls may overlap
+    on several threads, so the first of them to enter saves the limit and
+    the last to return puts it back: no call lowers it under another call
+    still running.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._active = 0
-        self._saved = (0, 0)
+        self._saved = 0
 
     def __enter__(self):
         with self._lock:
             if not self._active:
-                self._saved = (sys.getrecursionlimit(), sys.get_int_max_str_digits())
-                sys.set_int_max_str_digits(0)
+                self._saved = sys.getrecursionlimit()
             self._active += 1
 
     def __exit__(self, *exc_info):
         with self._lock:
             self._active -= 1
             if not self._active:
-                recursion, digits = self._saved
-                sys.setrecursionlimit(recursion)
-                sys.set_int_max_str_digits(digits)
+                sys.setrecursionlimit(self._saved)
 
 
 _PROCESS_LIMITS = _ProcessLimits()

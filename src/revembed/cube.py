@@ -19,9 +19,7 @@ the sum's bytes come out in position order, and one ``bytes.translate``
 maps 0x60, 0x61 and 0x62 to '-', '0' and '1'. ``parse`` reads each mask
 with ``int(text, 2)`` after a reverse and two replacements. Both convert
 only between ints and binary digits or bytes, never to or from base 10,
-so the interpreter's int-to-str digit limit (4,300 digits by default,
-which ``cli.main`` lifts only for its own calls) never applies, at any
-width.
+so the interpreter's int-to-str digit limit never applies, at any width.
 """
 from __future__ import annotations
 

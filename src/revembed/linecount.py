@@ -17,6 +17,7 @@ n + m is the generic upper bound). Three routes are provided:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -41,6 +42,46 @@ def upper_bound_total(n: int, m: int) -> int:
     return n + m
 
 
+# str() writes a count of up to this many bits (4,215 digits) inside the
+# default int-to-str digit limit of 4,300, and as fast as decimal_text's
+# own route
+_STR_BITS = 14_000
+
+
+def decimal_text(count: int) -> str:
+    """A non-negative count in decimal, at any width and under any
+    int-to-str digit limit the interpreter is set to.
+
+    Small counts go through str(). Wider ones, and any that a lower limit
+    keeps from str(), are split in halves by bits and joined as exact
+    decimal.Decimal sums with a power of 2, as CPython 3.12's
+    _pylong.int_to_decimal_string does: subquadratic in the digits, where
+    str() is quadratic.
+    """
+    if count.bit_length() <= _STR_BITS:
+        try:
+            return str(count)
+        except ValueError:  # the digit limit is below count's digits
+            pass
+    import decimal
+
+    power = functools.cache(lambda bits: decimal.Decimal(2) ** bits)
+
+    def convert(value: int, bits: int) -> decimal.Decimal:
+        if bits <= 128:
+            return decimal.Decimal(value)
+        half = bits >> 1
+        high = value >> half
+        low = convert(value - (high << half), half)
+        return low + convert(high, bits - half) * power(half)
+
+    with decimal.localcontext() as context:
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        return str(convert(count, count.bit_length()))
+
+
 @dataclass
 class LineReport:
     """Result of one mu computation. Treat as immutable."""
@@ -54,7 +95,7 @@ class LineReport:
 
     def to_dict(self) -> dict:
         patterns = [
-            {"outputs": sorted(outs), "count": str(self.per_pattern[outs])}
+            {"outputs": sorted(outs), "count": decimal_text(self.per_pattern[outs])}
             for outs in sorted(self.per_pattern, key=lambda o: tuple(sorted(o)))
         ]
         return {

@@ -8,12 +8,17 @@ written so rewriting algorithms stay trace-reproducible.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .bdd import Func, Manager, and_all, or_all
 from .cube import Cube
 from .errors import PlaError
+
+# the widest .i or .o a PLA may give: sums of a few widths, such as n + m
+# lines or 2r levels, still fit an index
+_MAX_WIDTH = sys.maxsize // 4
 
 
 @dataclass
@@ -68,7 +73,7 @@ def parse_pla(text: str) -> Pla:
                     raise PlaError(".i given twice", lineno)
                 if m is not None or entries:
                     raise PlaError(".i must come first", lineno)
-                n = _directive_int(parts, lineno)
+                n = _directive_width(parts, lineno)
                 if n < 1:
                     raise PlaError(".i must be positive", lineno)
             elif key == ".o":
@@ -78,7 +83,7 @@ def parse_pla(text: str) -> Pla:
                     raise PlaError(".o must follow .i", lineno)
                 if entries:
                     raise PlaError(".o must precede cube lines", lineno)
-                m = _directive_int(parts, lineno)
+                m = _directive_width(parts, lineno)
                 if m < 1:
                     raise PlaError(".o must be positive", lineno)
             elif key == ".ilb":
@@ -86,7 +91,7 @@ def parse_pla(text: str) -> Pla:
             elif key == ".ob":
                 output_names = parts[1:]
             elif key == ".p":
-                _directive_int(parts, lineno)  # count is advisory; ignored
+                _directive_digits(parts, lineno)  # count is advisory; ignored
             elif key == ".type":
                 if parts[1:] != ["fd"]:
                     raise PlaError("only .type fd is supported", lineno)
@@ -132,10 +137,20 @@ def parse_pla(text: str) -> Pla:
     return pla
 
 
-def _directive_int(parts: list[str], lineno: int) -> int:
-    if len(parts) != 2 or not parts[1].isdigit():
+def _directive_digits(parts: list[str], lineno: int) -> str:
+    # the decimal digits int() reads
+    if len(parts) != 2 or not parts[1].isdecimal():
         raise PlaError("%s needs one integer argument" % parts[0], lineno)
-    return int(parts[1])
+    return parts[1]
+
+
+def _directive_width(parts: list[str], lineno: int) -> int:
+    """The plane width a .i or .o line gives, at most _MAX_WIDTH."""
+    digits = _directive_digits(parts, lineno).lstrip("0") or "0"
+    # a longer digit string is larger still, and never reaches int()
+    if len(digits) > len(str(_MAX_WIDTH)) or int(digits) > _MAX_WIDTH:
+        raise PlaError("%s is larger than %d" % (parts[0], _MAX_WIDTH), lineno)
+    return int(digits)
 
 
 def write_pla(pla: Pla) -> str:

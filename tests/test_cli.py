@@ -108,6 +108,33 @@ class TestLines:
         assert payload["mu"] == 1 << log2_mu
         assert payload["ell"] == log2_mu
 
+    @pytest.mark.parametrize("method", ["heuristic", "exact-bdd"])
+    def test_count_of_3000000_bits_within_its_timeout(self, capsys, tmp_path, method):
+        # no rows: the empty pattern covers all 2**3000000 inputs, 903,090
+        # digits, which str() took 25 s to write
+        wide = tmp_path / "wide.pla"
+        wide.write_text(".i 3000000\n.o 1\n.e\n")
+        code, out, err = run(
+            capsys, "--timeout", "15", "lines", str(wide), "--method", method
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_int=str)
+        mu = payload["mu"]
+        assert [p["count"] for p in payload["patterns"]] == [mu]
+        assert len(mu) == 903_090 and mu.startswith("9704919638")
+        assert mu[-20:] == "%020d" % pow(2, 3_000_000, 10**20)
+        assert payload["ell"] == "3000000"
+
+    def test_advisory_p_is_never_converted(self, capsys, tmp_path):
+        # int() of a million digits took 7.9 s
+        runs = []
+        for p in ("1", "9" * 1_000_000):
+            pla = tmp_path / "p.pla"
+            pla.write_text(".i 2\n.o 1\n.p %s\n11 1\n.e\n" % p)
+            runs.append(run(capsys, "--timeout", "3", "lines", str(pla)))
+        assert runs[1] == runs[0]
+        assert runs[0][0] == 0 and json.loads(runs[0][1])["mu"] == 3
+
     def test_restores_the_recursion_limit(self, capsys, tmp_path):
         # the row diagram raises the limit for 16,000 levels; main puts
         # back the limit it was called with
@@ -417,6 +444,21 @@ class TestBench:
         assert "running_example.pla" in names
         assert len(payload["ordering_study"]) == 2
 
+    def test_wide_counts_in_nested_reports(self, capsys, tmp_path):
+        # each report's mu has about 4,816 digits
+        (tmp_path / "wide.pla").write_text(two_cube_pla(16000))
+        code, out, err = run(capsys, "bench", str(tmp_path))
+        assert (code, err) == (0, "")
+        result = json.loads(out, parse_int=str)["results"][0]
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = {"heuristic": str(1 << 15999), "exact": str(1 << 15998)}
+        finally:
+            sys.set_int_max_str_digits(digits)
+        assert {key: result[key]["mu"] for key in want} == want
+        assert result["n"] == "16000"
+
     def test_not_a_directory(self, capsys):
         code, _, err = run(capsys, "bench", RUNNING)
         assert code == 1
@@ -572,6 +614,56 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("# dsop")
+
+    def test_brute_without_numpy_exits_1(self, tmp_path):
+        script = tmp_path / "no_numpy.py"
+        script.write_text(
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import revembed.cli as cli\n"
+            "sys.exit(cli.main(['lines', sys.argv[1], '--method', 'brute']))\n"
+        )
+        proc = run_script(script, RUNNING)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: --method brute needs numpy: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "header, lineno, name",
+        [
+            (".i 99999999999999999999\n.o 1\n", 1, ".i"),
+            (".i %s\n.o 1\n" % ("9" * 5000), 1, ".i"),
+            (".i 2\n.o %d\n" % (sys.maxsize // 4 + 1), 2, ".o"),
+        ],
+        ids=["i-past-64-bits", "i-past-the-digit-limit", "o-past-the-bound"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lines", "--method", "heuristic"],
+            ["lines", "--method", "exact-cube"],
+            ["lines", "--method", "exact-bdd"],
+            ["lines", "--method", "brute"],
+            ["dsop"],
+            ["dsop", "--compact"],
+            ["embed", "--exact"],
+            ["embed", "--exact", "--with-offset", "--verify"],
+            ["embed", "--bennett", "--verify"],
+            ["bench"],
+        ],
+        ids=lambda argv: "-".join(argv).replace("--", ""),
+    )
+    def test_header_integer_too_large_exits_1(
+        self, capsys, tmp_path, header, lineno, name, argv
+    ):
+        pla = tmp_path / "wide.pla"
+        pla.write_text(header + ".e\n")
+        target = tmp_path if argv == ["bench"] else pla
+        code, out, err = run(capsys, *argv, str(target))
+        assert (code, out) == (1, "")
+        assert err == "error: line %d: %s is larger than %d\n" % (
+            lineno, name, sys.maxsize // 4
+        )
 
     def test_numpy_loads_only_for_the_oracle(self, tmp_path):
         # the oracle enumerates with numpy, which no symbolic method needs:
@@ -741,6 +833,39 @@ class TestThreads:
             sys.setrecursionlimit(before)
         assert rounds == [{"A": 0, "B": 0}] * 5
         assert after == 1000
+
+    def test_digit_limit_stays_while_main_runs(self, capsys, tmp_path):
+        # a thread watching the limit while main() writes counts of 4,816
+        # digits, under CPython's lowest limit, always reads that limit;
+        # the output is the one written under the default limit
+        wide = tmp_path / "wide.pla"
+        wide.write_text(two_cube_pla(16000))
+        argv = ["lines", str(wide), "--method", "exact-bdd"]
+        digits = sys.get_int_max_str_digits()
+        interval = sys.getswitchinterval()
+        seen, done = set(), threading.Event()
+
+        def watch():
+            while not done.is_set():
+                seen.add(sys.get_int_max_str_digits())
+
+        watcher = threading.Thread(target=watch)
+        try:
+            sys.set_int_max_str_digits(4300)
+            default = run(capsys, *argv)
+            sys.set_int_max_str_digits(640)
+            sys.setswitchinterval(1e-5)
+            watcher.start()
+            lowest = run(capsys, *argv)
+        finally:
+            done.set()
+            if watcher.is_alive():
+                watcher.join()
+            sys.setswitchinterval(interval)
+            sys.set_int_max_str_digits(digits)
+        assert default[0] == 0
+        assert lowest == default
+        assert seen == {640}
 
     def test_overlapping_wide_counts_keep_the_digit_limit(self, capsys, tmp_path):
         # each payload's mu has 4,816 digits, past the default limit of

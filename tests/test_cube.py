@@ -202,7 +202,7 @@ class TestTextForm:
         assert str(c) == text
 
     def test_wide_cube_under_the_default_digit_limit(self):
-        # outside main(), which lifts the limit for its own calls only
+        # the text form never converts to or from base 10
         rng = random.Random(11)
         text = "".join(rng.choice("01-") for _ in range(20000))
         before = sys.get_int_max_str_digits()

@@ -1,6 +1,8 @@
 import importlib
 import json
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -8,7 +10,7 @@ from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import revembed as rv
 from revembed import (
@@ -32,6 +34,7 @@ from revembed import (
 )
 
 import revembed.cli as cli
+from revembed.linecount import _STR_BITS, decimal_text
 from helpers import diagram_counts, random_pla
 
 DSOP_MODULE = importlib.import_module("revembed.dsop")
@@ -173,6 +176,71 @@ class TestExactBddInputs:
         got = DSOP_MODULE.pattern_counts((f.node,), manager._nodes, n)
         assert got == {frozenset(): (1 << n) - 1, frozenset({1}): 1}
         assert list(got) == [frozenset(), frozenset({1})]
+
+
+@st.composite
+def counts(draw):
+    """Counts of up to 2**20 bits, most far shorter: random bits, a power
+    of 2 or of 10, or one less than one."""
+    bits = draw(st.integers(0, 20).flatmap(lambda k: st.integers(0, 1 << k)))
+    shape = draw(st.sampled_from(["random", "two", "ten"]))
+    if shape == "random":
+        count = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits)
+    elif shape == "two":
+        count = 1 << bits
+    else:
+        count = 10 ** (bits * 3 // 10)
+    return count - draw(st.integers(0, min(count, 1)))
+
+
+class TestDecimalText:
+    # the lowest limit CPython allows, its default, and none
+    LIMITS = (640, 4300, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts())
+    @example((1 << 1_000_000) - 1)
+    @example(1 << _STR_BITS)
+    @example((1 << _STR_BITS) - 1)
+    @example(10**640)
+    @example(0)
+    def test_matches_str_under_any_limit(self, count):
+        before = sys.get_int_max_str_digits()
+        texts = []
+        try:
+            sys.set_int_max_str_digits(0)
+            want = str(count)
+            for limit in self.LIMITS:
+                sys.set_int_max_str_digits(limit)
+                texts.append(decimal_text(count))
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert texts == [want] * len(self.LIMITS)
+
+    def test_past_the_default_decimal_exponent(self):
+        # 1,100,000 digits: the default decimal context's Emax is 999,999
+        digits = 1_100_000
+        assert decimal_text(10**digits - 1) == "9" * digits
+
+    def test_decimal_loads_only_past_str_bits(self):
+        # every count of the benchmark and the digest is narrower than
+        # _STR_BITS: none of them imports decimal
+        script = (
+            "import sys\n"
+            "from revembed.linecount import decimal_text\n"
+            "decimal_text((1 << %d) - 1)\n"
+            "narrow = 'decimal' in sys.modules\n"
+            "decimal_text(1 << %d)\n"
+            "print(narrow, 'decimal' in sys.modules)\n" % (_STR_BITS, _STR_BITS)
+        )
+        source = str(Path(rv.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": source},
+        )
+        assert (done.returncode, done.stdout) == (0, "False True\n"), done.stderr
 
 
 class TestReportShape:

@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -52,6 +53,15 @@ class TestParse:
         pla = parse_pla(".i 1\n.o 1\n.p 99\n1 1\n.e\n")
         assert pla.cube_count() == 1
 
+    def test_p_past_the_digit_limit(self):
+        pla = parse_pla(".i 1\n.o 1\n.p %s\n1 1\n.e\n" % ("9" * 5000))
+        assert pla.cube_count() == 1
+
+    def test_widest_header(self):
+        widest = sys.maxsize // 4
+        pla = parse_pla(".i %d\n.o %s%d\n.e\n" % (widest, "0" * 5000, widest))
+        assert (pla.n, pla.m) == (widest, widest)
+
     @pytest.mark.parametrize(
         "text,lineno",
         [
@@ -67,6 +77,10 @@ class TestParse:
             (".i 0\n.o 1\n.e\n", 1),  # nonpositive width
             (".i 1\n.o 1\n.unknowndirective\n.e\n", 3),
             (".i x\n.o 1\n.e\n", 1),  # unparseable count
+            (".i \u00b2\n.o 1\n.e\n", 1),  # a digit int() does not read
+            (".i 1\n.o 1\n.p 1.5\n.e\n", 3),  # advisory, but still a count
+            (".i %d\n.o 1\n.e\n" % (sys.maxsize // 4 + 1), 1),  # too wide
+            (".i 1\n.o %s\n.e\n" % ("9" * 5000), 2),  # past the digit limit
         ],
     )
     def test_errors_carry_line_numbers(self, text, lineno):
