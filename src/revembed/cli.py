@@ -211,11 +211,10 @@ def _emit_json(payload, output=None):
 
     json writes an int, even an int subclass, by int.__repr__: quadratic in
     the digits and held to the int-to-str digit limit. So a wide int goes
-    in as a placeholder string, a NUL and an index, and its digits replace
-    the placeholder's JSON text. A file name, the only string a payload
-    takes from outside, holds no NUL.
+    in as a string, a NUL and its digits (_number), and that string's JSON
+    text loses its quotes and its NUL. A file name, the only string a
+    payload takes from outside, holds no NUL.
     """
-    wide = []
 
     def place(value):
         if isinstance(value, dict):
@@ -223,19 +222,34 @@ def _emit_json(payload, output=None):
         if isinstance(value, list):
             return [place(item) for item in value]
         if isinstance(value, int) and value.bit_length() > 64:
-            wide.append(decimal_text(value))
-            return "\0%d" % (len(wide) - 1)
+            return _number(decimal_text(value))
         return value
 
     text = json.dumps(place(payload), indent=2)
-    if wide:
-        text = re.sub(r'"\\u0000(\d+)"', lambda match: wide[int(match[1])], text)
+    text = re.sub(r'"\\u0000(\d+)"', lambda match: match[1], text)
     _emit(text + "\n", output)
+
+
+def _number(digits: str) -> str:
+    """The stand-in that _emit_json writes as the JSON number digits."""
+    return "\0" + digits
+
+
+def _report_dict(report) -> dict:
+    """report.to_dict(), a wide mu written from its pattern's count text:
+    mu is one pattern's count, which to_dict has already turned into
+    decimal, so the count is converted once."""
+    payload = report.to_dict()
+    if report.mu.bit_length() > 64:
+        # decimal texts with no leading zeros order by length, then digits
+        texts = [pattern["count"] for pattern in payload["patterns"]]
+        payload["mu"] = _number(max(texts, key=lambda text: (len(text), text)))
+    return payload
 
 
 def _cmd_lines(args) -> int:
     report = LINE_METHODS[args.method](_read_pla(args.file))
-    _emit_json(report.to_dict())
+    _emit_json(_report_dict(report))
     return EXIT_OK
 
 
@@ -383,7 +397,7 @@ def _cmd_bench(args) -> int:
             "m": p.m,
             "cubes": p.cube_count(),
             "upper_bound_total": upper_bound_total(p.n, p.m),
-            **{key: report.to_dict() for key, report in by_key.items()},
+            **{key: _report_dict(report) for key, report in by_key.items()},
             "seconds": secs,
         }
         for name, p, by_key, secs in measured

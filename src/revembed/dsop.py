@@ -34,7 +34,8 @@ a smaller disjoint cover without running dsop(), one cube per root-to-1
 path of each region; post_compact() is the same rewrite for a Pla that
 dsop() has already certified. pattern_counts() counts the patterns of a
 tuple of BDDs by walking their product top-down, exact_mu_bdd()'s route
-for a list of Funcs.
+for a list of Funcs. Every mask of a pattern has one layout: output i is
+bit i, and bit 0 is the row diagram's covered bit (_outputs).
 """
 from __future__ import annotations
 
@@ -134,8 +135,7 @@ def compact(pla: Pla) -> Pla:
     regions = memo.get(root)
     if regions is None:
         regions = _region_walk(root, nodes, pla.n, manager._nodes, manager._unique, memo)
-    # bit 0 of a mask is the covered bit, and bit i output i
-    by_outs = {frozenset(bit_positions(mask & ~1)): u for mask, u in regions.items()}
+    by_outs = {_outputs(mask): u for mask, u in regions.items()}
     entries: list[tuple[Cube, frozenset[int]]] = []
     # every level is an input, so the paths need no support check
     for outs in sorted(by_outs, key=lambda o: tuple(sorted(o))):
@@ -156,12 +156,11 @@ def row_diagram(pla: Pla) -> tuple[int, list[tuple[int, int, int]]]:
     input, and otherwise the AND chain of the mask bits of the rows that
     cover it, so the part above level n is the multi-terminal diagram
     (Bahar et al., ICCAD 1993) whose leaves are the OR of those rows'
-    masks. The row chains are made inline, as Manager._mk would.
+    masks.
     """
     n = pla.n
     manager = Manager()
     manager.add_vars([None] * (n + 1 + pla.m))
-    nodes, unique = manager._nodes, manager._unique
     masks: dict[frozenset[int], int] = {}
     terms = []
     for cube, outs in pla.entries:
@@ -175,27 +174,23 @@ def row_diagram(pla: Pla) -> tuple[int, list[tuple[int, int, int]]]:
         while care:
             pos = care.bit_length() - 1
             care ^= 1 << pos
-            node = (pos, 1, u) if (value >> pos) & 1 else (pos, u, 1)
-            u = unique.get(node)
-            if u is None:
-                u = len(nodes)
-                nodes.append(node)
-                unique[node] = u
+            u = manager._mk(pos, 1, u) if (value >> pos) & 1 else manager._mk(pos, u, 1)
         terms.append(u)
-    return _pairing(terms, 0, manager), nodes
+    return _pairing(terms, 0, manager), manager._nodes
 
 
 def pla_counts(pla: Pla) -> dict[frozenset[int], int]:
     """{output set: input count} over B^n: row_counts over the rows' output
-    masks, so the patterns come in ascending mask order (_outputs)."""
-    rows = [(cube, _row_mask(outs, pla.m)) for cube, outs in pla.entries]
-    return {_outputs(k, pla.m): c for k, c in row_counts(rows, pla.n).items()}
+    masks, which set bit i for output i and leave the covered bit, bit 0,
+    clear, so the uncovered inputs and those covered only by rows with no
+    outputs share mask 0, the empty pattern."""
+    rows = [(cube, sum(1 << i for i in outs)) for cube, outs in pla.entries]
+    return {_outputs(k): c for k, c in row_counts(rows, pla.n).items()}
 
 
 def row_counts(rows: list[tuple[Cube, int]], n: int) -> dict[int, int]:
-    """{mask: input count} over B^n in ascending mask order, where an
-    input's mask is the OR of the masks of the rows whose cubes cover it,
-    0 for none.
+    """{mask: input count} over B^n, where an input's mask is the OR of
+    the masks of the rows whose cubes cover it, 0 for none.
 
     One top-down pass over the levels where some row has a literal, with
     one weight per state (acc, live): acc is the OR of the masks of the
@@ -211,7 +206,6 @@ def row_counts(rows: list[tuple[Cube, int]], n: int) -> dict[int, int]:
     ResourceLimitError when more than DEFAULT_PATTERN_CAP leaves are
     reached.
     """
-    cap = DEFAULT_PATTERN_CAP
     # rows with no literal settle at the root, rows of mask 0 add nothing,
     # and a repeated row adds nothing to its first copy
     acc = 0
@@ -293,14 +287,12 @@ def row_counts(rows: list[tuple[Cube, int]], n: int) -> dict[int, int]:
                     nxt[key] = nxt.get(key, 0) + weight
                 elif got in leaves:
                     leaves[got] += weight
-                elif len(leaves) < cap:
+                elif len(leaves) < DEFAULT_PATTERN_CAP:
                     leaves[got] = weight
                 else:
-                    raise ResourceLimitError(
-                        "more than %d output patterns enumerated" % cap
-                    )
+                    raise _pattern_cap_error()
         states = nxt
-    return {mask: leaves[mask] for mask in sorted(leaves)}
+    return leaves
 
 
 def _merges(
@@ -412,9 +404,7 @@ def _region_walk(
                 regions[mask] = got
         # every mask below a node is a mask of the root
         if len(regions) > DEFAULT_PATTERN_CAP:
-            raise ResourceLimitError(
-                "more than %d output patterns enumerated" % DEFAULT_PATTERN_CAP
-            )
+            raise _pattern_cap_error()
     memo[u] = regions
     return regions
 
@@ -433,13 +423,12 @@ def pattern_counts(
     cofactor states. States are split in ascending order of their top
     level, so every weight is whole before it is split. The states left at
     the end hold only terminals, one per pattern, and each weighs its
-    pattern's count. Patterns come in ascending mask order (_outputs).
-    Raises ResourceLimitError when there are more than DEFAULT_PATTERN_CAP
-    patterns. This is exact_mu_bdd's route for a list of Funcs; a Pla's
-    rows are counted by pla_counts.
+    pattern's count. Raises ResourceLimitError when there are more than
+    DEFAULT_PATTERN_CAP patterns. This is exact_mu_bdd's route for a list
+    of Funcs; a Pla's rows are counted by pla_counts.
     """
-    levels = _levels(nodes, n)
-    cap = DEFAULT_PATTERN_CAP
+    # the terminals lie at level n, below every variable
+    levels = [n, n] + [lvl for lvl, _, _ in nodes[2:]]
     top = min(map(levels.__getitem__, state), default=n)
     weight = {state: 1 << n}
     # the states waiting to be split, by top level
@@ -457,36 +446,23 @@ def pattern_counts(
                 weight[child] = half
                 lvl = min(map(levels.__getitem__, child))
                 states = pending.setdefault(lvl, [])
-                if lvl == n and len(states) >= cap:
-                    raise ResourceLimitError(
-                        "more than %d output patterns enumerated" % cap
-                    )
+                if lvl == n and len(states) >= DEFAULT_PATTERN_CAP:
+                    raise _pattern_cap_error()
                 states.append(child)
     # only the terminal states are left in weight
-    counts = {_mask(s): w for s, w in weight.items()}
-    return {_outputs(mask, len(state)): counts[mask] for mask in sorted(counts)}
+    return {
+        frozenset([i for i, u in enumerate(s, 1) if u]): w for s, w in weight.items()
+    }
 
 
-def _levels(nodes: list[tuple[int, int, int]], n: int) -> list[int]:
-    """Each node's level, with the terminals at level n, below every
-    variable."""
-    return [n, n] + [lvl for lvl, _, _ in nodes[2:]]
+def _pattern_cap_error() -> ResourceLimitError:
+    """The error a walk raises past DEFAULT_PATTERN_CAP output patterns."""
+    return ResourceLimitError(
+        "more than %d output patterns enumerated" % DEFAULT_PATTERN_CAP
+    )
 
 
-def _mask(terminals: tuple[int, ...]) -> int:
-    """The mask of a pattern given as its outputs' terminal values."""
-    mask = 0
-    for u in terminals:
-        mask = (mask << 1) | u
-    return mask
-
-
-def _row_mask(outs: frozenset[int], m: int) -> int:
-    """The mask of an output set: the inverse of _outputs."""
-    return sum(1 << (m - i) for i in outs)
-
-
-def _outputs(mask: int, m: int) -> frozenset[int]:
-    """The output set of a mask: bit m-i is set when output i is 1, so
-    ascending masks branch on output 1 first, low first."""
-    return frozenset(m - b for b in bit_positions(mask))
+def _outputs(mask: int) -> frozenset[int]:
+    """The output set of a mask: output i is bit i, and bit 0, the covered
+    bit, names no output."""
+    return frozenset(bit_positions(mask & ~1))

@@ -145,8 +145,8 @@ def _cube_counts(cover: Pla) -> dict[frozenset[int], int]:
     that construct some output, which is the union of the m ON-sets. A
     dsop-certified cover's rows are pairwise disjoint, so that size is the
     sum of their buckets and no walk runs. Any other cover's rows with
-    outputs are counted by dsop.row_counts with mask 1 each, so the count
-    of mask 0 is the OFF-set's."""
+    outputs are counted by dsop.row_counts with mask 1 each, the covered
+    bit of dsop's mask layout, so the count of mask 0 is the OFF-set's."""
     per: dict[frozenset[int], int] = {}
     for cube, outs in cover.entries:
         per[outs] = per.get(outs, 0) + cube.on_size()

@@ -69,20 +69,18 @@ def parse_pla(text: str) -> Pla:
             parts = line.split()
             key = parts[0]
             if key == ".i":
+                # .o and cube lines need .i, so a later .i is a second one
                 if n is not None:
                     raise PlaError(".i given twice", lineno)
-                if m is not None or entries:
-                    raise PlaError(".i must come first", lineno)
                 n = _directive_width(parts, lineno)
                 if n < 1:
                     raise PlaError(".i must be positive", lineno)
             elif key == ".o":
+                # cube lines need .o, so a .o after one is a second one
                 if m is not None:
                     raise PlaError(".o given twice", lineno)
                 if n is None:
                     raise PlaError(".o must follow .i", lineno)
-                if entries:
-                    raise PlaError(".o must precede cube lines", lineno)
                 m = _directive_width(parts, lineno)
                 if m < 1:
                     raise PlaError(".o must be positive", lineno)

@@ -535,9 +535,8 @@ def diagram_counts(pla: Pla) -> dict[frozenset[int], int]:
     ends with the count of the inputs that reach it. Its mask is read off
     its chain of high edges with the covered bit, level n, masked off, so
     the uncovered inputs, whose leaf is the 1-terminal, and the inputs
-    covered only by rows with no outputs add up to the empty pattern.
-    Patterns come in pla_counts' ascending mask order (_outputs)."""
-    n, m = pla.n, pla.m
+    covered only by rows with no outputs add up to the empty pattern."""
+    n = pla.n
     root, nodes = row_diagram(pla)
     weight = [0] * (root + 1)
     weight[root] = 1 << n
@@ -555,8 +554,8 @@ def diagram_counts(pla: Pla) -> dict[frozenset[int], int]:
         mask, x = 0, u
         while x != 1:
             level, _, x = nodes[x]
-            # output i, at level n + i, is bit m - i of the mask
+            # output i, at level n + i, is bit i of the mask
             if level > n:
-                mask |= 1 << (n + m - level)
+                mask |= 1 << (level - n)
         leaves[mask] = leaves.get(mask, 0) + w
-    return {_outputs(k, m): leaves[k] for k in sorted(leaves)}
+    return {_outputs(k): w for k, w in leaves.items()}

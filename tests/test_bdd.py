@@ -113,6 +113,28 @@ class TestStructure:
         with pytest.raises(ValueError):
             mgr.add_var("a")
 
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda m: m.var(1.5), TypeError, "expected a level or a name"),
+            (lambda m: m.node_branches(m.true), ValueError, "terminals have no"),
+            (lambda m: m.apply("and", 1, m.var("a")), TypeError, "expected a Func"),
+            (
+                lambda m: m.apply("nand", m.var("a"), m.var("b")),
+                ValueError,
+                "unknown operator 'nand'",
+            ),
+            (
+                lambda m: m.enumerate_paths(m.var("c"), 2),
+                ValueError,
+                "support beyond the first 2 variables",
+            ),
+        ],
+    )
+    def test_bad_arguments_are_refused(self, mgr, call, error, message):
+        with pytest.raises(error, match=message):
+            call(mgr)
+
     def test_canonicity_shannon(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")
         rebuilt = (a & b) | (a & ~b)

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -14,8 +15,11 @@ import pytest
 import revembed
 import revembed.cli as cli
 from revembed import VerifyReport, parse_pla
+from revembed.linecount import decimal_text
 
 from helpers import two_cube_pla
+
+LINECOUNT_MODULE = importlib.import_module("revembed.linecount")
 
 
 def run(capsys, *argv):
@@ -124,6 +128,35 @@ class TestLines:
         assert len(mu) == 903_090 and mu.startswith("9704919638")
         assert mu[-20:] == "%020d" % pow(2, 3_000_000, 10**20)
         assert payload["ell"] == "3000000"
+
+    @pytest.mark.parametrize("command", ["lines", "bench"])
+    def test_wide_mu_reuses_its_pattern_text(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        # mu is its pattern's count: each report turns the 3,000,001-bit
+        # count into decimal once, not once for the pattern and once for mu
+        wide = tmp_path / "wide.pla"
+        wide.write_text(".i 3000000\n.o 1\n.e\n")
+        widths = []
+
+        def counting(count):
+            widths.append(count.bit_length())
+            return decimal_text(count)
+
+        monkeypatch.setattr(cli, "decimal_text", counting)
+        monkeypatch.setattr(LINECOUNT_MODULE, "decimal_text", counting)
+        target = wide if command == "lines" else tmp_path
+        code, out, err = run(capsys, command, str(target))
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_int=str)
+        if command == "lines":
+            reports = [payload]
+        else:
+            reports = [payload["results"][0][key] for key in ("heuristic", "exact")]
+        assert [bits for bits in widths if bits > 64] == [3_000_001] * len(reports)
+        for report in reports:
+            assert report["mu"] == report["patterns"][0]["count"]
+            assert len(report["mu"]) == 903_090
 
     def test_advisory_p_is_never_converted(self, capsys, tmp_path):
         # int() of a million digits took 7.9 s
@@ -479,7 +512,8 @@ class TestBench:
         assert err.startswith("warning: '-'/'~' in the output plane")
 
     @pytest.mark.parametrize(
-        "option,value", [("--ordering-study", "-1"), ("--samples", "-3")]
+        "option,value",
+        [("--ordering-study", "-1"), ("--samples", "-3"), ("--samples", "many")],
     )
     def test_negative_counts_are_usage_errors(self, capsys, option, value):
         directory = str(revembed.data_path("running_example.pla").parent)
@@ -573,7 +607,7 @@ class TestPlumbing:
             assert (code, out) == (2, "")
             assert err == "resource limit: timed out after %gs\n" % float(timeout)
 
-    @pytest.mark.parametrize("timeout", ["inf", "1e10", "nan", "0", "-1"])
+    @pytest.mark.parametrize("timeout", ["inf", "1e10", "nan", "0", "-1", "soon"])
     def test_timeout_the_timer_cannot_hold_exits_1(self, capsys, timeout):
         code, out, err = run(capsys, "--timeout", timeout, "lines", RUNNING)
         assert (code, out) == (1, "")

@@ -313,7 +313,7 @@ class TestAgreement:
         manager.add_vars("x%d" % (i + 1) for i in range(n))
         funcs = rv.to_functions(pla, manager)
         want = exact_mu_bdd(funcs, n=n).per_pattern
-        assert list(got.items()) == list(want.items())
+        assert got == want
         assert got == brute_mu(pla).per_pattern
 
     @settings(max_examples=200, deadline=None)
@@ -374,15 +374,6 @@ class TestAgreement:
             want.mu, want.ell, want.total_lines,
         )
 
-    def test_exact_bdd_patterns_come_in_mask_order(self, running):
-        # ascending masks: output 1 is the most significant bit
-        rng = random.Random(7)
-        plas = [running] + [random_pla(rng, 6, 5, 10) for _ in range(40)]
-        for pla in plas:
-            got = list(exact_mu_bdd(pla).per_pattern)
-            key = [[i in outs for i in range(1, pla.m + 1)] for outs in got]
-            assert key == sorted(key)
-
     def test_exact_counts_partition_the_domain(self, running, underapprox):
         for pla in (running, underapprox):
             rep = exact_mu_bdd(pla)
@@ -427,9 +418,6 @@ class TestRowWalk:
         got = exact_mu_bdd(pla).per_pattern
         want = brute_mu(pla).per_pattern
         assert got == want
-        # ascending masks: output 1 is the most significant bit
-        key = [[i in outs for i in range(1, m + 1)] for outs in got]
-        assert key == sorted(key)
         assert heuristic_mu(pla).per_pattern.get(frozenset()) == want.get(frozenset())
 
     @pytest.mark.parametrize(
@@ -438,7 +426,7 @@ class TestRowWalk:
     def test_corpus_matches_the_row_diagram(self, path):
         pla = parse_pla(path.read_text())
         got = DSOP_MODULE.pla_counts(pla)
-        assert list(got.items()) == list(diagram_counts(pla).items())
+        assert got == diagram_counts(pla)
 
     def test_pattern_cap_on_a_corpus_cover(self, monkeypatch, capsys):
         path = CORPUS / "r20c40.pla"
@@ -451,6 +439,19 @@ class TestRowWalk:
             exact_mu_bdd(pla)
         assert cli.main(["lines", str(path), "--method", "exact-bdd"]) == 2
         assert capsys.readouterr().err.startswith("resource limit")
+
+    def test_pattern_cap_on_a_corpus_cover_as_functions(self, monkeypatch):
+        # the product walk of pattern_counts, under the same cap
+        pla = parse_pla((CORPUS / "r20c40.pla").read_text())
+        manager = Manager()
+        manager.add_vars("x%d" % (i + 1) for i in range(pla.n))
+        funcs = rv.to_functions(pla, manager)
+        want = exact_mu_bdd(pla).per_pattern
+        monkeypatch.setattr(DSOP_MODULE, "DEFAULT_PATTERN_CAP", len(want))
+        assert exact_mu_bdd(funcs, n=pla.n).per_pattern == want
+        monkeypatch.setattr(DSOP_MODULE, "DEFAULT_PATTERN_CAP", len(want) - 1)
+        with pytest.raises(ResourceLimitError, match="more than %d" % (len(want) - 1)):
+            exact_mu_bdd(funcs, n=pla.n)
 
     def test_alike_rows_are_merged(self):
         # without the merge the walk holds 2^14 states here

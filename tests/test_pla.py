@@ -81,6 +81,12 @@ class TestParse:
             (".i 1\n.o 1\n.p 1.5\n.e\n", 3),  # advisory, but still a count
             (".i %d\n.o 1\n.e\n" % (sys.maxsize // 4 + 1), 1),  # too wide
             (".i 1\n.o %s\n.e\n" % ("9" * 5000), 2),  # past the digit limit
+            (".i 1\n.o 1\n.o 1\n.e\n", 3),  # duplicate .o
+            (".i 1\n.o 1\n1 1\n.i 1\n.e\n", 4),  # .i after a cube line
+            (".i 1\n.o 1\n1 1\n.o 1\n.e\n", 4),  # .o after a cube line
+            (".i 1\n.o 0\n.e\n", 2),  # nonpositive output count
+            (".i 1\n.o 1\n1\n.e\n", 3),  # one plane
+            (".i 1\n.o 1\n1 1 1\n.e\n", 3),  # three planes
         ],
     )
     def test_errors_carry_line_numbers(self, text, lineno):
@@ -88,6 +94,25 @@ class TestParse:
             parse_pla(text)
         assert err.value.line == lineno
         assert "line %d:" % lineno in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "missing .i/.o header"),
+            (".i 2\n.e\n", "missing .i/.o header"),
+            (".i 2\n.o 1\n.ilb a\n.e\n", ".ilb names 1 variables, .i is 2"),
+            (".i 1\n.o 2\n.ob f g h\n.e\n", ".ob names 3 outputs, .o is 2"),
+        ],
+    )
+    def test_whole_file_errors_carry_no_line(self, text, message):
+        with pytest.raises(PlaError) as err:
+            parse_pla(text)
+        assert err.value.line is None
+        assert str(err.value) == message
+
+    def test_lines_after_e_are_ignored(self):
+        pla = parse_pla(".i 1\n.o 1\n1 1\n.e\n0 1\n.bogus\n.e\n")
+        assert pla.entries == [(Cube.parse("1"), frozenset({1}))]
 
     @pytest.mark.parametrize(
         "planes,lineno,bad",
@@ -195,6 +220,11 @@ class TestPlaneMemo:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("n,m", [(-1, 1), (1, -1)])
+    def test_negative_width_checked(self, n, m):
+        with pytest.raises(ValueError, match="negative plane width"):
+            Pla(n, m, [])
+
     def test_entry_width_checked(self):
         with pytest.raises(ValueError):
             Pla(2, 1, [(Cube.parse("1"), frozenset({1}))])
@@ -238,6 +268,15 @@ class TestFunctions:
         manager.add_vars(["x%d" % (i + 1) for i in range(running.n)])
         funcs = to_functions(running, manager)
         assert len(funcs) == running.m
+
+    def test_one_variable_per_input_and_per_function(self, running):
+        manager = Manager()
+        xs = manager.add_vars(["x%d" % (i + 1) for i in range(running.n + 1)])
+        with pytest.raises(ValueError, match="need 5 input variables, got 6"):
+            to_functions(running, manager, xs)
+        funcs = to_functions(running, manager, xs[:-1])
+        with pytest.raises(ValueError, match="one y variable per function"):
+            characteristic(funcs, manager, xs[: running.m - 1])
 
     def test_characteristic_counts_inputs(self, running):
         manager = Manager()

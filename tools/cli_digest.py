@@ -24,9 +24,10 @@ and option choice of the CLI but help, ``--timeout``, ``--seed`` and
 
 The one-directory digest of the checkout's ``src`` on Python 3.11 is
 committed as ``tools/cli_digest_golden.txt``. CI regenerates it on Python
-3.11 and on 3.10, whose recursion cap is ten times lower, and fails on
-any line that differs, raw dot md5s included. A change that
-alters an output on purpose regenerates the file in the same commit:
+3.11, on 3.10, whose recursion cap is ten times lower, and on 3.12 and
+3.13, and fails on any line that differs, raw dot md5s included. The
+``--method brute`` lines need numpy: without it they exit 1. A change
+that alters an output on purpose regenerates the file in the same commit:
 ``python3 tools/cli_digest.py src > tools/cli_digest_golden.txt``.
 
 With two directories it runs the one-directory digest of each tree in its
